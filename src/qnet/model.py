@@ -81,6 +81,8 @@ def validate_network(raw: dict) -> Network:
     Required keys: R, C, c, W.  Optional: S_req (extends the default derived
     from R's negative part), a_hat (default all-ones).
     """
+    if not isinstance(raw, dict):
+        raise ValidationError("network", f"expected an object, got {raw!r}")
     if "R" not in raw:
         raise ValidationError("network.R", "missing routing matrix")
     R = _as_int_matrix(raw["R"], "network.R")
@@ -115,7 +117,7 @@ def validate_network(raw: dict) -> Network:
         W = W[None, :]
     if W.ndim != 2 or W.shape[1] != n_v:
         raise ValidationError("network.W", f"expected n_s x {n_v} diagonals, got shape {W.shape}")
-    bad = np.argwhere((W < 0.0) | (W > 1.0))
+    bad = np.argwhere(~((W >= 0.0) & (W <= 1.0)))   # NaN fails both comparisons
     if bad.size:
         s, j = bad[0]
         raise ValidationError(f"network.W[{s}][{j}]", f"probability {W[s, j]} outside [0, 1]")

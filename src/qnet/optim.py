@@ -1,17 +1,19 @@
-"""In-repo solvers: dense two-phase simplex and branch-and-bound over binaries.
+"""In-repo solvers: dense two-phase simplex and trajectory search over binaries.
 
 The simplex runs in two arithmetic modes sharing one code path: float64 with
-a 1e-9 tolerance (used for LP-relaxation bounds) and exact `Fraction`
-arithmetic with zero tolerance (used for region-membership feasibility).
-Bland's rule is used throughout for anti-cycling.  Quadratic trajectory
-objectives are minimized by a lexicographic scan over per-slot control sets.
+a 1e-9 tolerance (checked against scipy in the tests; the package itself does
+not call it) and exact `Fraction` arithmetic with zero tolerance (used for
+region-membership feasibility).  Bland's rule is used throughout for
+anti-cycling.  Binary trajectory programs are solved by branch and bound over
+per-slot control sets, quadratic objectives by a lexicographic scan over them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import product
+from itertools import combinations, product
+from math import prod
 
 import numpy as np
 
@@ -283,98 +285,119 @@ def bip_to_text(bip: Bip) -> str:
     return "\n".join(lines)
 
 
-def _lp_relaxation_bound(bip: Bip, depth: int, lhs: np.ndarray, fixed_cost: float):
-    """LP bound for the subproblem with u[:depth] fixed; None if infeasible."""
-    free = bip.n - depth
-    prob = LpProblem(
-        cost=list(bip.cost[depth:]),
-        A_ub=[list(bip.A[i, depth:]) for i in range(bip.A.shape[0])],
-        b_ub=[float(bip.b[i]) - float(lhs[i]) for i in range(bip.A.shape[0])],
-        bounds=[(0, 1)] * free,
-    )
-    sol = solve_lp(prob)
-    if sol.status == "infeasible":
-        return None
-    return fixed_cost + float(sol.value)
+SCAN_MAX_TRAJECTORIES = 1 << 22
+SCAN_CHUNK = 1 << 10   # rows per array; a 2^12-row grid ran no faster and held 5x the memory
 
 
-MAX_LP_DEPTH = 4  # relaxation bounds are computed near the root, box bounds below
+def _block_tables(chunks, H: int, A: np.ndarray, b: list):
+    """Per-block controls V[t] and coupling-row tables lhs[t] for A u <= b.
 
-
-def solve_bip(bip: Bip, node_budget: int | None = None, use_lp_bounds: bool = True) -> BipSolution:
-    """Depth-first branch and bound, 0-branch before 1-branch in variable order.
-
-    The first incumbent found is kept through value ties (pruning uses
-    `bound >= incumbent - 1e-9`), which makes the returned optimum the
-    lexicographically smallest one.
+    `chunks` yields the candidate controls in lexicographic order; V[t] keeps,
+    in order, those meeting every row of A inside block t (rows with no
+    nonzero go to block 0).  lhs[t] is each kept control's part of the rows
+    coupling blocks: a trajectory is feasible iff den * sum_t lhs[t] <= num.
     """
-    n = bip.n
-    if n == 0:
-        return BipSolution(np.zeros(0, dtype=np.int8), 0.0, "optimal", nodes=1)
-    A = bip.A
-    m = A.shape[0]
-    num, den = bip.rhs_scaled()
-    cost = bip.cost
-    # suffix sums: least possible remaining LHS per row, and negative-cost mass
-    min_suffix = np.zeros((n + 1, m), dtype=np.int64)
-    for d in range(n - 1, -1, -1):
-        min_suffix[d] = min_suffix[d + 1] + np.minimum(A[:, d], 0)
-    neg_cost_suffix = np.zeros(n + 1)
-    for d in range(n - 1, -1, -1):
-        neg_cost_suffix[d] = neg_cost_suffix[d + 1] + min(cost[d], 0.0)
+    num, den = np.array([Fraction(x).as_integer_ratio() for x in b], np.int64).reshape(-1, 2).T
+    n_v = A.shape[1] // H
+    support = (A != 0).reshape(len(A), H, n_v).any(axis=2)
+    coupling = support.sum(axis=1) > 1
+    local = [~coupling & (support.argmax(axis=1) == t) for t in range(H)]
+    blocks = [slice(t * n_v, (t + 1) * n_v) for t in range(H)]
+    V = [[] for _ in blocks]
+    for c in chunks:
+        for t, (r, bt) in enumerate(zip(local, blocks)):
+            V[t].append(c[(c @ A[r, bt].T * den[r] <= num[r]).all(axis=1)])
+    V = [np.concatenate(v) for v in V]
+    return V, [v @ A[coupling, bt].T for v, bt in zip(V, blocks)], num[coupling], den[coupling]
 
-    x = np.zeros(n, dtype=np.int8)
-    best_x: np.ndarray | None = None
-    best_val = np.inf
-    nodes = 0
-    exhausted = False
 
-    def visit(depth: int, lhs: np.ndarray, fixed: float):
-        nonlocal best_x, best_val, nodes, exhausted
-        if exhausted:
-            return
-        nodes += 1
+def _trailing_grid(lin: list, lhs: list, den: np.ndarray, pair: dict | None = None):
+    """(k, grid, den * grid lhs, grid value): the trailing H - k blocks' candidates
+    as one lexicographic grid of at most SCAN_CHUNK rows (or one block), valued
+    by the per-block tables `lin` plus the per-block-pair tables `pair`."""
+    sizes = [len(x) for x in lin]
+    L = 1
+    while L < len(sizes) and prod(sizes[-L - 1:]) <= SCAN_CHUNK:
+        L += 1
+    k = len(sizes) - L
+    grid = np.indices(sizes[k:]).reshape(L, -1).T
+    glhs = sum(lhs[k + i][grid[:, i]] for i in range(L)) * den
+    gval = sum(lin[k + i][grid[:, i]] for i in range(L))
+    if pair:
+        for i, j in combinations(range(L), 2):
+            gval = gval + pair[k + i, k + j][grid[:, i], grid[:, j]]
+    return k, grid, glhs, gval
+
+
+def _improve(rows: np.ndarray, vals: np.ndarray, best_val: float):
+    """Scan feasible grid rows in order, replacing the incumbent only when beaten
+    by more than 1e-9; returns the last replacing row (or None) and its value."""
+    # only a value below every earlier one can displace the incumbent
+    prev = np.minimum.accumulate(np.concatenate(([best_val], vals)))[:-1]
+    best = None
+    for i in np.flatnonzero(vals < prev):
+        if vals[i] < best_val - OPT_TOL:
+            best, best_val = rows[i], float(vals[i])
+    return best, best_val
+
+
+def solve_bip(bip: Bip, node_budget: int | None = None) -> BipSolution:
+    """Branch and bound over whole slot controls, in lexicographic order.
+
+    Rows of A inside block t filter its 2^n_v binary controls to V_t, and
+    trajectories in V_0 x ... x V_{H-1} are visited in lexicographic order,
+    leading blocks depth first and the trailing ones as one grid.  A prefix
+    is pruned when its cost plus each remaining block's least cost is not
+    1e-9 below the incumbent, or when its lhs plus each coupling row's least
+    remaining part exceeds b (exactly, on integers).  Replacing only on a
+    gain over 1e-9 returns the lexicographically smallest optimum, as
+    `solve_bip_exhaustive` does.  `nodes` (prefixes visited plus
+    trajectories scored) is capped by `node_budget`.
+    """
+    H, n_v = bip.H, bip.n_v
+    if n_v > 24:
+        raise EnumerationLimitError(f"block search limited to 24 variables per block, got {n_v}")
+    shifts = np.arange(n_v - 1, -1, -1)
+    V, lhs, num, den = _block_tables(
+        ((np.arange(s, min(s + SCAN_CHUNK, 1 << n_v))[:, None] >> shifts & 1).astype(np.int8)
+         for s in range(0, 1 << n_v, SCAN_CHUNK)), H, bip.A, bip.b)
+    if not all(map(len, V)):
+        return BipSolution(None, None, "infeasible", nodes=1)
+    lin = [v @ c for v, c in zip(V, bip.cost.reshape(H, n_v))]
+    k, grid, glhs, gval = _trailing_grid(lin, lhs, den)
+    # least cost and least coupling lhs of blocks t .. H-1
+    min_lin = np.cumsum([0.0] + [x.min() for x in lin[::-1]])[::-1]
+    min_lhs = np.cumsum([np.zeros_like(num)] + [x.min(axis=0) for x in lhs[::-1]], axis=0)[::-1]
+
+    best, best_val, nodes = None, np.inf, 0
+    stack = [([], 0.0, min_lhs[H])]   # prefixes to visit: candidate indices, cost, lhs
+    while stack:
+        path, head, acc = stack.pop()
+        t = len(path)
+        pruned = (head + min_lin[t] >= best_val - OPT_TOL
+                  or ((acc + min_lhs[t]) * den > num).any())
+        nodes += 1 if pruned or t < k else 1 + len(grid)
         if node_budget is not None and nodes > node_budget:
-            exhausted = True
-            return
-        # exact infeasibility: even the most negative completion overshoots
-        if ((lhs + min_suffix[depth]) * den > num).any():
-            return
-        if depth == n:
-            if fixed < best_val - OPT_TOL:
-                best_val = fixed
-                best_x = x.copy()
-            return
-        zero_ok = (lhs * den <= num).all()
-        if zero_ok and neg_cost_suffix[depth] == 0.0:
-            # all-zero completion is the lexicographic minimum of this subtree
-            # and no completion can cost less
-            if fixed < best_val - OPT_TOL:
-                best_val = fixed
-                cand = x.copy()
-                cand[depth:] = 0
-                best_x = cand
-            return
-        if best_x is not None:
-            if fixed + neg_cost_suffix[depth] >= best_val - OPT_TOL:
-                return
-            if use_lp_bounds and depth <= MAX_LP_DEPTH:
-                lp_bound = _lp_relaxation_bound(bip, depth, lhs, fixed)
-                if lp_bound is None or lp_bound >= best_val - OPT_TOL:
-                    return
-        x[depth] = 0
-        visit(depth + 1, lhs, fixed)
-        x[depth] = 1
-        visit(depth + 1, lhs + A[:, depth], fixed + cost[depth])
-        x[depth] = 0
+            break
+        if pruned:
+            continue
+        if t < k:
+            stack.extend((path + [i], head + lin[t][i], acc + lhs[t][i])
+                         for i in reversed(range(len(lin[t]))))
+            continue
+        vals = gval + head
+        rows = np.flatnonzero(vals < best_val - OPT_TOL)
+        rows = rows[(glhs[rows] <= num - den * acc).all(axis=1)]
+        row, best_val = _improve(rows, vals[rows], best_val)
+        if row is not None:
+            best = path + list(grid[row])
 
-    visit(0, np.zeros(m, dtype=np.int64), 0.0)
-    if exhausted:
-        return BipSolution(best_x, best_val if best_x is not None else None,
-                           "budget-exhausted", nodes)
-    if best_x is None:
+    x = None if best is None else np.concatenate([v[i] for v, i in zip(V, best)])
+    if node_budget is not None and nodes > node_budget:
+        return BipSolution(x, best_val if x is not None else None, "budget-exhausted", nodes)
+    if x is None:
         return BipSolution(None, None, "infeasible", nodes)
-    return BipSolution(best_x, float(np.dot(cost, best_x)), "optimal", nodes)
+    return BipSolution(x, float(np.dot(bip.cost, x)), "optimal", nodes)
 
 
 def solve_bip_exhaustive(bip: Bip) -> BipSolution:
@@ -406,19 +429,15 @@ def solve_bip_exhaustive(bip: Bip) -> BipSolution:
     return BipSolution(best_x, float(np.dot(bip.cost, best_x)), "optimal", nodes=total)
 
 
-SCAN_MAX_TRAJECTORIES = 1 << 22
-SCAN_CHUNK = 1 << 15   # trajectories per vectorized step of the scan
-
-
 def solve_quadratic_scan(V: np.ndarray, H: int, cost: np.ndarray, Q: np.ndarray,
                          A: np.ndarray, b: list) -> BipSolution:
     """Minimize cost.u + u'Qu over trajectories of H controls drawn from V.
 
     V holds the candidate controls in lexicographic order, so trajectories
-    are scanned in lexicographic order; A u <= b is checked exactly, and the
-    incumbent is replaced only when beaten by more than 1e-9, as in
-    `solve_bip_exhaustive`.  Raises `EnumerationLimitError` before any work
-    when |V|^H exceeds SCAN_MAX_TRAJECTORIES.
+    are scanned in lexicographic order, without pruning; A u <= b is checked
+    exactly, and the incumbent is replaced only when beaten by more than
+    1e-9, as in `solve_bip_exhaustive`.  Raises `EnumerationLimitError`
+    before any work when |V|^H exceeds SCAN_MAX_TRAJECTORIES.
     """
     n_c, n_v = V.shape
     total = n_c ** H
@@ -426,47 +445,28 @@ def solve_quadratic_scan(V: np.ndarray, H: int, cost: np.ndarray, Q: np.ndarray,
         raise EnumerationLimitError(
             f"trajectory scan limited to {SCAN_MAX_TRAJECTORIES} trajectories, "
             f"got {n_c}^{H} = {total}")
-    Vf = V.astype(np.float64)
+    V, lhs, num, den = _block_tables([V], H, A, b)
     blocks = [slice(t * n_v, (t + 1) * n_v) for t in range(H)]
-    # cost and constraints are sums of per-block and per-block-pair tables over V
-    lin = [Vf @ cost[bt] + np.einsum("ai,ij,aj->a", Vf, Q[bt, bt], Vf) for bt in blocks]
-    cross = {(t, r): Vf @ (Q[blocks[t], blocks[r]] + Q[blocks[r], blocks[t]].T) @ Vf.T
-             for t in range(H) for r in range(t + 1, H)}
-    lhs_tab = [V @ A[:, bt].T for bt in blocks]
-    num = np.array([Fraction(x).numerator for x in b], dtype=np.int64)
-    den = np.array([Fraction(x).denominator for x in b], dtype=np.int64)
-
-    # the trailing L blocks form one in-memory grid; the leading k are looped
-    L = 1
-    while L < H and n_c ** (L + 1) <= SCAN_CHUNK:
-        L += 1
-    k = H - L
-    grid = np.indices((n_c,) * L).reshape(L, -1).T
-    inner_lhs = sum(lhs_tab[k + i][grid[:, i]] for i in range(L)) * den
-    inner_val = sum(lin[k + i][grid[:, i]] for i in range(L))
-    for i in range(L):
-        for j in range(i + 1, L):
-            inner_val = inner_val + cross[k + i, k + j][grid[:, i], grid[:, j]]
+    # cost is a sum of per-block and per-block-pair tables over the kept controls
+    lin = [V[t] @ cost[bt] + np.einsum("ai,ij,aj->a", V[t], Q[bt, bt], V[t])
+           for t, bt in enumerate(blocks)]
+    cross = {(t, r): V[t] @ (Q[blocks[t], blocks[r]] + Q[blocks[r], blocks[t]].T) @ V[r].T
+             for t, r in combinations(range(H), 2)}
+    k, grid, glhs, gval = _trailing_grid(lin, lhs, den, cross)
 
     best, best_val = None, np.inf
-    for prefix in product(range(n_c), repeat=k):
-        slack = num - den * sum((lhs_tab[t][a] for t, a in enumerate(prefix)), 0)
-        feas = np.flatnonzero((inner_lhs <= slack).all(axis=1))
-        if not feas.size:
-            continue
+    for prefix in product(*(range(len(x)) for x in lin[:k])):
+        slack = num - den * sum((lhs[t][a] for t, a in enumerate(prefix)), 0)
+        rows = np.flatnonzero((glhs <= slack).all(axis=1))
         head = sum(lin[t][a] for t, a in enumerate(prefix))
-        head += sum(cross[t, r][prefix[t], prefix[r]] for t in range(k) for r in range(t + 1, k))
-        vals = inner_val[feas] + head
-        for t in range(k):
-            for i in range(L):
-                vals += cross[t, k + i][prefix[t]][grid[feas, i]]
-        # only a value below every earlier one can displace the incumbent
-        prev = np.minimum.accumulate(np.concatenate(([best_val], vals)))[:-1]
-        for i in np.flatnonzero(vals < prev):
-            if vals[i] < best_val - OPT_TOL:
-                best, best_val = (prefix, feas[i]), float(vals[i])
+        head += sum(cross[t, r][prefix[t], prefix[r]] for t, r in combinations(range(k), 2))
+        vals = gval[rows] + head
+        for t, i in product(range(k), range(H - k)):
+            vals += cross[t, k + i][prefix[t]][grid[rows, i]]
+        row, best_val = _improve(rows, vals, best_val)
+        if row is not None:
+            best = list(prefix) + list(grid[row])
     if best is None:
         return BipSolution(None, None, "infeasible", nodes=total)
-    prefix, row = best
-    x = np.concatenate([V[list(prefix)], V[grid[row]]]).reshape(-1).astype(np.int8)
+    x = np.concatenate([v[i] for v, i in zip(V, best)]).astype(np.int8)
     return BipSolution(x, best_val, "optimal", nodes=total)

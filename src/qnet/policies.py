@@ -26,6 +26,10 @@ PREDICTIVE_KINDS = ("PNC", "FPNC")
 OBJECTIVES = ("linear", "quadratic")
 
 
+def _positive_int(x) -> bool:
+    return isinstance(x, Integral) and not isinstance(x, bool) and x >= 1
+
+
 @dataclass(frozen=True)
 class PolicySpec:
     kind: str
@@ -38,10 +42,12 @@ class PolicySpec:
         if self.kind not in POLICY_KINDS:
             raise ValidationError("policy.kind", f"unknown policy kind {self.kind!r}")
         if self.kind in PREDICTIVE_KINDS:
-            if (not isinstance(self.horizon, Integral) or isinstance(self.horizon, bool)
-                    or self.horizon < 1):
+            if not _positive_int(self.horizon):
                 raise ValidationError("policy.H", "predictive policies need an integer "
                                                   f"horizon >= 1, got {self.horizon!r}")
+        if self.node_budget is not None and not _positive_int(self.node_budget):
+            raise ValidationError("policy.node_budget", "expected a positive integer or null, "
+                                                        f"got {self.node_budget!r}")
         if self.tie_break != "lexicographic":
             raise ValidationError("policy.tie_break", f"unsupported tie break {self.tie_break!r}")
         if self.objective not in OBJECTIVES:

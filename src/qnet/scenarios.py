@@ -83,13 +83,13 @@ def validate_scenario(raw: dict) -> Scenario:
         raise ValidationError("policies", "at least one policy is required")
     policies = [PolicySpec.from_json(p) for p in pol_raw]
     slots = raw.get("slots")
-    if not isinstance(slots, int) or slots < 1:
+    if not isinstance(slots, int) or isinstance(slots, bool) or slots < 1:
         raise ValidationError("slots", f"expected a positive slot count, got {slots!r}")
     replications = raw.get("replications", 1)
-    if not isinstance(replications, int) or replications < 1:
+    if not isinstance(replications, int) or isinstance(replications, bool) or replications < 1:
         raise ValidationError("replications", "replications must be >= 1")
     seed = raw.get("seed")
-    if not isinstance(seed, int):
+    if not isinstance(seed, int) or isinstance(seed, bool):
         raise ValidationError("seed", "an explicit integer seed is required")
     q0 = None
     if raw.get("q0") is not None:

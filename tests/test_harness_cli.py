@@ -127,6 +127,24 @@ def test_cli_policy_objective(tmp_path, capsys):
     assert "policy.objective" in capsys.readouterr().err
 
 
+SMALL_RED = scenario_example2("red", slots=20, replications=1).to_json()
+
+
+@pytest.mark.parametrize("path, field, value", [
+    ("network.W[0][1]", "network", dict(SMALL_RED["network"], W=[[0.25, float("nan"), 1.0]])),
+    ("network", "network", [1, 2]),
+    ("slots", "slots", True),
+    ("replications", "replications", True),
+    ("seed", "seed", True),
+    ("policy.node_budget", "policies", [{"kind": "PNC", "H": 2, "node_budget": "5"}]),
+])
+def test_cli_malformed_fields_exit_2(tmp_path, capsys, path, field, value):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(dict(SMALL_RED, **{field: value})))
+    assert main(["validate", str(bad)]) == 2
+    assert f"{path}:" in capsys.readouterr().err
+
+
 def test_cli_unknown_scenario(capsys):
     assert main(["validate", "no-such-scenario"]) == 2
     assert "neither a builtin" in capsys.readouterr().err

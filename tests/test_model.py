@@ -31,6 +31,20 @@ def test_probability_out_of_range():
         validate_network(raw)
 
 
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+def test_probability_not_finite(bad):
+    # NaN escapes `W < 0` and `W > 1` alike; it must still be rejected
+    with pytest.raises(ValidationError) as info:
+        validate_network(dict(RELAY, W=[[1.0, 0.5], [0.5, bad]]))
+    assert info.value.path == "network.W[1][1]"
+
+
+def test_network_not_an_object():
+    with pytest.raises(ValidationError) as info:
+        validate_network([1, 2])
+    assert info.value.path == "network" and "expected an object" in str(info.value)
+
+
 def test_routing_entry_out_of_domain():
     with pytest.raises(ValidationError, match=r"R\[0\]\[0\]"):
         validate_network(dict(RELAY, R=[[-2, 0], [1, -1]]))

@@ -10,9 +10,9 @@ from qnet.optim import (Bip, LpProblem, bip_to_text, solve_bip,
                         solve_bip_exhaustive, solve_lp, solve_quadratic_scan)
 from qnet import optim
 from qnet.model import enumerate_control_set
-from qnet.predictor import build_constraints
+from qnet.predictor import build_bip, build_constraints
 
-from conftest import random_arrivals, random_network
+from conftest import random_arrivals, random_chain, random_network
 
 scipy_opt = pytest.importorskip("scipy.optimize")
 
@@ -153,6 +153,70 @@ def test_fractional_rhs_exact():
               A=np.array([[1, 1]], dtype=np.int64), b=[Fraction(3, 2)],
               families=["positiveness"])
     assert solve_bip(bip).x.tolist() == [1, 0]
+
+
+@pytest.mark.parametrize("chunk", [None, 1])
+def test_block_search_matches_exhaustive_on_trajectory_programs(rng, monkeypatch, chunk):
+    # chunk 1 loops every block but the last, so prefixes are pruned; sparse
+    # backlogs starve sources, whose gates leave V_0 smaller than V
+    if chunk is not None:
+        monkeypatch.setattr(optim, "SCAN_CHUNK", chunk)
+    gated = 0
+    for k in range(300):
+        net = random_network(rng, allow_copy=True)
+        H = int(rng.integers(2, 5))
+        while H * net.n_v > 12:
+            H -= 1
+        chain = random_chain(rng, net.n_s)
+        q0 = rng.integers(0, 3, size=net.n_q)
+        bip = build_bip(net, chain, random_arrivals(rng, net.n_q), q0, chain.s0, H)
+        if k % 2:
+            bip.cost = rng.integers(-8, 9, size=bip.n) / 8.0   # frequent exact ties
+        gated += "source" in bip.families
+        s1, s2 = solve_bip(bip), solve_bip_exhaustive(bip)
+        assert s1.status == s2.status == "optimal", k
+        assert s1.value == s2.value and np.array_equal(s1.x, s2.x), k
+    assert gated > 50
+
+
+@pytest.mark.parametrize("chunk", [None, 1])
+def test_block_search_generic_coupled_rows(rng, monkeypatch, chunk):
+    # rows span several blocks with mixed signs and fractional right-hand sides
+    if chunk is not None:
+        monkeypatch.setattr(optim, "SCAN_CHUNK", chunk)
+    statuses = set()
+    for _ in range(200):
+        H, n_v = int(rng.integers(2, 5)), int(rng.integers(1, 4))
+        n, m = H * n_v, int(rng.integers(1, 6))
+        A = rng.integers(-2, 3, size=(m, n)).astype(np.int64)
+        b = [Fraction(int(x), int(d)) for x, d in zip(rng.integers(-2, 6, size=m),
+                                                     rng.integers(1, 4, size=m))]
+        bip = Bip(n=n, n_v=n_v, H=H, cost=rng.integers(-4, 5, size=n) / 4.0, A=A, b=b,
+                  families=["positiveness"] * m)
+        s1, s2 = solve_bip(bip), solve_bip_exhaustive(bip)
+        statuses.add(s1.status)
+        assert s1.status == s2.status
+        if s1.status == "optimal":
+            assert s1.value == s2.value and np.array_equal(s1.x, s2.x)
+    assert statuses == {"optimal", "infeasible"}
+
+
+def test_block_search_coupled_example():
+    # two blocks of two links; u0 + u2 <= 1 and u1 - u3 >= 0 couple them
+    bip = Bip(n=4, n_v=2, H=2, cost=np.array([-1.0, -1.0, -2.0, -1.5]),
+              A=np.array([[1, 0, 1, 0], [0, -1, 0, 1], [1, 1, 0, 0]], dtype=np.int64),
+              b=[1, 0, 1], families=["positiveness", "positiveness", "constituency"])
+    sol = solve_bip(bip)
+    assert sol.status == "optimal" and sol.x.tolist() == [0, 1, 1, 1] and sol.value == -4.5
+    assert np.array_equal(sol.x, solve_bip_exhaustive(bip).x)
+
+
+def test_block_search_limit():
+    # raised before any of the 2^25 controls of the block are listed
+    bip = Bip(n=25, n_v=25, H=1, cost=np.zeros(25), A=np.zeros((0, 25), dtype=np.int64),
+              b=[], families=[])
+    with pytest.raises(EnumerationLimitError):
+        solve_bip(bip)
 
 
 def test_instance_dump_grammar():

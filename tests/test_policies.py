@@ -79,6 +79,37 @@ def test_argmin_scale_invariance(rng):
         assert np.array_equal(solve_bip(bip).x, base)
 
 
+@pytest.mark.parametrize("cls", [PncPolicy, FpncPolicy])
+def test_memo_miss_builds_and_solves_once(monkeypatch, cls):
+    # build_bip and solve_bip are looked up on qnet.policies at call time, so
+    # wrappers patched there see every program the policies build and solve
+    import qnet.policies as policies
+    calls = {"build_bip": 0, "solve_bip": 0}
+    for name in calls:
+        original = getattr(policies, name)
+
+        def counted(*args, _name=name, _original=original, **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+        monkeypatch.setattr(policies, name, counted)
+    assert callable(policies.solve_bip_exhaustive)
+    sc = scenario_example2("red")
+    H = 2
+    policy = cls(sc.net, sc.chain, sc.arrivals, H)
+    states = [(0, 0), (1, 0), (0, 0), (2, 1), (1, 0), (2, 1), (3, 3), (0, 0), (3, 3), (2, 1)]
+    seen = set()
+    for i, q in enumerate(states):
+        # FPNC consults its memo only when its pending trajectory runs out
+        miss = (cls is PncPolicy or i % H == 0) and q not in seen
+        if miss:
+            seen.add(q)
+        before = dict(calls)
+        policy.decide(np.array(q), 0)
+        assert calls["build_bip"] - before["build_bip"] == int(miss), (i, q)
+        assert calls["solve_bip"] - before["solve_bip"] == int(miss), (i, q)
+    assert calls["build_bip"] == len(seen) > 0
+
+
 def test_fpnc_h1_equals_pnc_h1():
     sc = scenario_example2("red")
     res = []
@@ -145,11 +176,15 @@ def test_policy_spec_validation():
         PolicySpec("NOPE")
     for raw, path in (({"kind": "PNC", "H": "2"}, "policy.H"),
                       ({"kind": "FPNC", "H": True}, "policy.H"),
-                      (["PNC", 2], "policy")):
+                      (["PNC", 2], "policy"),
+                      ({"kind": "PNC", "H": 2, "node_budget": "5"}, "policy.node_budget"),
+                      ({"kind": "PNC", "H": 2, "node_budget": 0}, "policy.node_budget"),
+                      ({"kind": "MW", "node_budget": True}, "policy.node_budget")):
         with pytest.raises(ValidationError) as info:
             PolicySpec.from_json(raw)
         assert info.value.path == path
     assert PolicySpec("PNC", np.int64(3)).name == "PNC-H3"
+    assert PolicySpec("FPNC", 2, node_budget=np.int64(50)).node_budget == 50
     assert PolicySpec("FPNC", 3).name == "FPNC-H3"
     assert PolicySpec("MW").name == "MW"
     rt = PolicySpec.from_json({"kind": "pnc", "H": 4})

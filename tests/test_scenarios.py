@@ -102,6 +102,11 @@ def test_scenario_validation_paths():
     bad = dict(sc, slots=0)
     with pytest.raises(ValidationError, match="slots"):
         validate_scenario(bad)
+    # a bool is an int to isinstance; true must not pass as 1
+    for field in ("slots", "replications", "seed"):
+        with pytest.raises(ValidationError) as info:
+            validate_scenario(dict(sc, **{field: True}))
+        assert info.value.path == field
     bad = dict(sc, policies=[])
     with pytest.raises(ValidationError, match="policies"):
         validate_scenario(bad)
