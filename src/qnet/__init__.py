@@ -15,9 +15,8 @@ from .harness import ExperimentResult, RunResult, region_rows, run_experiment
 from .markov import MarkovChain, propagate, sample_next, stationary, validate_chain
 from .model import (ArrivalProcess, Network, enumerate_control_set,
                     negative_part, validate_arrivals, validate_network)
-from .optim import (Bip, BipSolution, LpProblem, LpSolution, bip_to_text,
-                    solve_bip, solve_bip_exhaustive, solve_lp,
-                    solve_quadratic_scan)
+from .optim import (Bip, BipSolution, LpProblem, LpSolution, solve_bip,
+                    solve_bip_exhaustive, solve_lp)
 from .policies import (FpncPolicy, IdlePolicy, MwPolicy, PncPolicy, PolicySpec,
                        RandomPolicy, make_policy, mw_decide, pnc_decide)
 from .predictor import (build_bip, build_constraints, build_objective,

@@ -65,11 +65,15 @@ class Network:
         }
 
 
-def _as_int_matrix(raw, path: str) -> np.ndarray:
+def _as_array(raw, path: str, dtype=np.int64) -> np.ndarray:
     try:
-        arr = np.asarray(raw, dtype=np.int64)
+        return np.asarray(raw, dtype=dtype)
     except (TypeError, ValueError) as exc:
-        raise ValidationError(path, f"expected an integer matrix ({exc})")
+        raise ValidationError(path, f"expected numeric entries ({exc})")
+
+
+def _as_int_matrix(raw, path: str) -> np.ndarray:
+    arr = _as_array(raw, path)
     if arr.ndim != 2:
         raise ValidationError(path, f"expected a 2-d matrix, got shape {arr.shape}")
     return arr
@@ -103,7 +107,7 @@ def validate_network(raw: dict) -> Network:
     if (C < 0).any():
         i, j = np.argwhere(C < 0)[0]
         raise ValidationError(f"network.C[{i}][{j}]", "constituency coefficients must be nonnegative")
-    c = np.asarray(raw.get("c", np.zeros(C.shape[0])), dtype=np.int64)
+    c = _as_array(raw.get("c", np.zeros(C.shape[0])), "network.c")
     if c.shape != (C.shape[0],):
         raise ValidationError("network.c", f"expected length {C.shape[0]}, got {c.shape}")
     if (c < 0).any():
@@ -112,7 +116,7 @@ def validate_network(raw: dict) -> Network:
     W_raw = raw.get("W")
     if W_raw is None:
         raise ValidationError("network.W", "missing link success probabilities")
-    W = np.asarray(W_raw, dtype=np.float64)
+    W = _as_array(W_raw, "network.W", np.float64)
     if W.ndim == 1:
         W = W[None, :]
     if W.ndim != 2 or W.shape[1] != n_v:
@@ -134,7 +138,7 @@ def validate_network(raw: dict) -> Network:
         # drain requirements implied by R are not overridable
         S_req = np.maximum(S_req, extra)
 
-    a_hat = np.asarray(raw.get("a_hat", np.ones(n_q)), dtype=np.int64)
+    a_hat = _as_array(raw.get("a_hat", np.ones(n_q)), "network.a_hat")
     if a_hat.shape != (n_q,):
         raise ValidationError("network.a_hat", f"expected length {n_q}, got {a_hat.shape}")
     if (a_hat < 0).any():
@@ -258,9 +262,11 @@ def _as_fraction(x, path: str) -> Fraction:
 
 
 def validate_arrivals(raw: dict, n_q: int) -> ArrivalProcess:
+    if not isinstance(raw, dict):
+        raise ValidationError("arrivals", f"expected an object, got {raw!r}")
     kind = raw.get("kind")
     if kind == "constant":
-        value = np.asarray(raw.get("value"), dtype=np.int64)
+        value = _as_array(raw.get("value"), "arrivals.value")
         if value.shape != (n_q,):
             raise ValidationError("arrivals.value", f"expected length {n_q}")
         if (value < 0).any():
@@ -268,7 +274,7 @@ def validate_arrivals(raw: dict, n_q: int) -> ArrivalProcess:
         rate = tuple(Fraction(int(x)) for x in value)
         return ArrivalProcess(kind=kind, n_q=n_q, value=value, rate=rate, a_hat=value.copy())
     if kind == "deterministic-periodic":
-        pattern = np.asarray(raw.get("pattern"), dtype=np.int64)
+        pattern = _as_array(raw.get("pattern"), "arrivals.pattern")
         if pattern.ndim != 2 or pattern.shape[1] != n_q or len(pattern) == 0:
             raise ValidationError("arrivals.pattern", f"expected a nonempty (period, {n_q}) matrix")
         if (pattern < 0).any():
@@ -278,13 +284,13 @@ def validate_arrivals(raw: dict, n_q: int) -> ArrivalProcess:
                               a_hat=pattern.max(axis=0))
     if kind == "iid-bernoulli-batch":
         p_raw = raw.get("p")
-        if p_raw is None or len(p_raw) != n_q:
+        if not isinstance(p_raw, (list, tuple)) or len(p_raw) != n_q:
             raise ValidationError("arrivals.p", f"expected {n_q} probabilities")
         p = tuple(_as_fraction(x, f"arrivals.p[{i}]") for i, x in enumerate(p_raw))
         for i, pi in enumerate(p):
             if not 0 <= pi <= 1:
                 raise ValidationError(f"arrivals.p[{i}]", f"probability {pi} outside [0, 1]")
-        batch = np.asarray(raw.get("batch", np.ones(n_q)), dtype=np.int64)
+        batch = _as_array(raw.get("batch", np.ones(n_q)), "arrivals.batch")
         if batch.shape != (n_q,):
             raise ValidationError("arrivals.batch", f"expected length {n_q}")
         if (batch < 0).any():

@@ -4,15 +4,15 @@ The simplex runs in two arithmetic modes sharing one code path: float64 with
 a 1e-9 tolerance (checked against scipy in the tests; the package itself does
 not call it) and exact `Fraction` arithmetic with zero tolerance (used for
 region-membership feasibility).  Bland's rule is used throughout for
-anti-cycling.  Binary trajectory programs are solved by branch and bound over
-per-slot control sets, quadratic objectives by a lexicographic scan over them.
+anti-cycling.  Binary trajectory programs, with a linear or a quadratic
+objective, are solved by branch and bound over per-slot control sets.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import combinations, product
+from itertools import combinations
 from math import prod
 
 import numpy as np
@@ -243,10 +243,11 @@ def solve_lp(problem: LpProblem, exact: bool = False, maxiter: int = 20000) -> L
 
 @dataclass
 class Bip:
-    """min cost.u  s.t.  A u <= b,  u in {0,1}^n, with H blocks of n_v vars.
+    """min cost.u + u'Qu  s.t.  A u <= b,  u in {0,1}^n, with H blocks of n_v vars.
 
     A is integer and b entries are ints or Fractions, so feasibility checks
     are exact; the cost is floating point with a 1e-9 optimality tolerance.
+    Q is None for a linear objective.
     """
 
     n: int
@@ -256,12 +257,18 @@ class Bip:
     A: np.ndarray
     b: list
     families: list  # per-row label: constituency | positiveness | source
+    Q: np.ndarray | None = None
 
     def rhs_scaled(self) -> tuple[np.ndarray, np.ndarray]:
         """(numerators, denominators) of b for exact integer comparisons."""
         num = np.array([Fraction(x).numerator for x in self.b], dtype=np.int64)
         den = np.array([Fraction(x).denominator for x in self.b], dtype=np.int64)
         return num, den
+
+    def value(self, x: np.ndarray) -> float:
+        """Objective value of the binary vector x."""
+        quad = 0.0 if self.Q is None else x @ self.Q @ x
+        return float(np.dot(self.cost, x) + quad)
 
 
 @dataclass
@@ -272,20 +279,6 @@ class BipSolution:
     nodes: int = 0
 
 
-def bip_to_text(bip: Bip) -> str:
-    """Plain-text dump for external cross-checking.
-
-    Grammar: one `min:` line with `<coef> u<i>` terms, then one line per
-    inequality `<family>: <coef> u<i> ... <= <rhs>`, variables 0-indexed.
-    """
-    lines = ["min: " + " + ".join(f"{bip.cost[j]!r} u{j}" for j in range(bip.n))]
-    for i in range(bip.A.shape[0]):
-        terms = [f"{int(bip.A[i, j])} u{j}" for j in range(bip.n) if bip.A[i, j]]
-        lines.append(f"{bip.families[i]}: " + (" + ".join(terms) or "0") + f" <= {bip.b[i]}")
-    return "\n".join(lines)
-
-
-SCAN_MAX_TRAJECTORIES = 1 << 22
 SCAN_CHUNK = 1 << 10   # rows per array; a 2^12-row grid ran no faster and held 5x the memory
 
 
@@ -311,24 +304,6 @@ def _block_tables(chunks, H: int, A: np.ndarray, b: list):
     return V, [v @ A[coupling, bt].T for v, bt in zip(V, blocks)], num[coupling], den[coupling]
 
 
-def _trailing_grid(lin: list, lhs: list, den: np.ndarray, pair: dict | None = None):
-    """(k, grid, den * grid lhs, grid value): the trailing H - k blocks' candidates
-    as one lexicographic grid of at most SCAN_CHUNK rows (or one block), valued
-    by the per-block tables `lin` plus the per-block-pair tables `pair`."""
-    sizes = [len(x) for x in lin]
-    L = 1
-    while L < len(sizes) and prod(sizes[-L - 1:]) <= SCAN_CHUNK:
-        L += 1
-    k = len(sizes) - L
-    grid = np.indices(sizes[k:]).reshape(L, -1).T
-    glhs = sum(lhs[k + i][grid[:, i]] for i in range(L)) * den
-    gval = sum(lin[k + i][grid[:, i]] for i in range(L))
-    if pair:
-        for i, j in combinations(range(L), 2):
-            gval = gval + pair[k + i, k + j][grid[:, i], grid[:, j]]
-    return k, grid, glhs, gval
-
-
 def _improve(rows: np.ndarray, vals: np.ndarray, best_val: float):
     """Scan feasible grid rows in order, replacing the incumbent only when beaten
     by more than 1e-9; returns the last replacing row (or None) and its value."""
@@ -346,15 +321,19 @@ def solve_bip(bip: Bip, node_budget: int | None = None) -> BipSolution:
 
     Rows of A inside block t filter its 2^n_v binary controls to V_t, and
     trajectories in V_0 x ... x V_{H-1} are visited in lexicographic order,
-    leading blocks depth first and the trailing ones as one grid.  A prefix
-    is pruned when its cost plus each remaining block's least cost is not
-    1e-9 below the incumbent, or when its lhs plus each coupling row's least
-    remaining part exceeds b (exactly, on integers).  Replacing only on a
-    gain over 1e-9 returns the lexicographically smallest optimum, as
-    `solve_bip_exhaustive` does.  `nodes` (prefixes visited plus
-    trajectories scored) is capped by `node_budget`.
+    leading blocks depth first and the trailing ones as one grid.  The
+    objective is a sum of per-block tables over V_t (cost and Q's diagonal
+    blocks) and per-block-pair tables over V_t x V_r (Q's other blocks).  A
+    prefix is pruned when its value plus each remaining block's least
+    conditional value (its table plus its pair terms with the prefix) plus
+    each remaining pair's least entry is not 1e-9 below the incumbent, or
+    when its lhs plus each coupling row's least remaining part exceeds b
+    (exactly, on integers).  Replacing only on a gain over 1e-9 returns the
+    lexicographically smallest optimum, as `solve_bip_exhaustive` does.
+    `nodes` (prefixes visited plus trajectories scored) is capped by
+    `node_budget`.
     """
-    H, n_v = bip.H, bip.n_v
+    H, n_v, Q = bip.H, bip.n_v, bip.Q
     if n_v > 24:
         raise EnumerationLimitError(f"block search limited to 24 variables per block, got {n_v}")
     shifts = np.arange(n_v - 1, -1, -1)
@@ -364,28 +343,54 @@ def solve_bip(bip: Bip, node_budget: int | None = None) -> BipSolution:
     if not all(map(len, V)):
         return BipSolution(None, None, "infeasible", nodes=1)
     lin = [v @ c for v, c in zip(V, bip.cost.reshape(H, n_v))]
-    k, grid, glhs, gval = _trailing_grid(lin, lhs, den)
-    # least cost and least coupling lhs of blocks t .. H-1
-    min_lin = np.cumsum([0.0] + [x.min() for x in lin[::-1]])[::-1]
+    # the trailing H - k blocks' candidates as one lexicographic grid of at
+    # most SCAN_CHUNK rows (or one block)
+    sizes = [len(v) for v in V]
+    k = H - 1
+    while k > 0 and prod(sizes[k - 1:]) <= SCAN_CHUNK:
+        k -= 1
+    grid = np.indices(sizes[k:]).reshape(H - k, -1).T
+    glhs = sum(lhs[k + i][grid[:, i]] for i in range(H - k)) * den
+    # least coupling lhs of blocks t .. H-1
     min_lhs = np.cumsum([np.zeros_like(num)] + [x.min(axis=0) for x in lhs[::-1]], axis=0)[::-1]
+    if Q is None:
+        gval = sum(lin[k + i][grid[:, i]] for i in range(H - k))
+        min_lin = np.cumsum([0.0] + [x.min() for x in lin[::-1]])[::-1]
+    else:
+        bt = [slice(t * n_v, (t + 1) * n_v) for t in range(H)]
+        lin = [x + np.einsum("ai,ij,aj->a", v, Q[b, b], v) for x, v, b in zip(lin, V, bt)]
+        pair = {(t, r): V[t] @ (Q[bt[t], bt[r]] + Q[bt[r], bt[t]].T) @ V[r].T
+                for t, r in combinations(range(H), 2)}
+        gpair = sum(pair[k + i, k + j][grid[:, i], grid[:, j]]
+                    for i, j in combinations(range(H - k), 2))
+        # least pair entry summed over pairs of blocks t .. H-1
+        min_pair = [sum(pair[p].min() for p in combinations(range(t, H), 2)) for t in range(H)]
 
     best, best_val, nodes = None, np.inf, 0
-    stack = [([], 0.0, min_lhs[H])]   # prefixes to visit: candidate indices, cost, lhs
+    # prefixes to visit: candidate indices, value, lhs, and each remaining
+    # block's values conditional on the prefix
+    stack = [([], 0.0, min_lhs[H], lin)]
     while stack:
-        path, head, acc = stack.pop()
+        path, head, acc, cond = stack.pop()
         t = len(path)
-        pruned = (head + min_lin[t] >= best_val - OPT_TOL
-                  or ((acc + min_lhs[t]) * den > num).any())
+        bound = min_lin[t] if Q is None else sum(c.min() for c in cond) + min_pair[t]
+        pruned = head + bound >= best_val - OPT_TOL or ((acc + min_lhs[t]) * den > num).any()
         nodes += 1 if pruned or t < k else 1 + len(grid)
         if node_budget is not None and nodes > node_budget:
             break
         if pruned:
             continue
         if t < k:
-            stack.extend((path + [i], head + lin[t][i], acc + lhs[t][i])
-                         for i in reversed(range(len(lin[t]))))
+            rest = cond[1:]
+            stack.extend(
+                (path + [i], head + cond[0][i], acc + lhs[t][i],
+                 rest if Q is None else [c + pair[t, r][i] for r, c in enumerate(rest, t + 1)])
+                for i in reversed(range(len(cond[0]))))
             continue
-        vals = gval + head
+        if Q is None:
+            vals = gval + head
+        else:
+            vals = gpair + head + sum(c[grid[:, i]] for i, c in enumerate(cond))
         rows = np.flatnonzero(vals < best_val - OPT_TOL)
         rows = rows[(glhs[rows] <= num - den * acc).all(axis=1)]
         row, best_val = _improve(rows, vals[rows], best_val)
@@ -397,7 +402,7 @@ def solve_bip(bip: Bip, node_budget: int | None = None) -> BipSolution:
         return BipSolution(x, best_val if x is not None else None, "budget-exhausted", nodes)
     if x is None:
         return BipSolution(None, None, "infeasible", nodes)
-    return BipSolution(x, float(np.dot(bip.cost, x)), "optimal", nodes)
+    return BipSolution(x, bip.value(x), "optimal", nodes)
 
 
 def solve_bip_exhaustive(bip: Bip) -> BipSolution:
@@ -419,6 +424,8 @@ def solve_bip_exhaustive(bip: Bip) -> BipSolution:
         lhs = cand @ bip.A.T
         feas = (lhs * den <= num).all(axis=1)
         vals = cand @ bip.cost
+        if bip.Q is not None:
+            vals = vals + ((cand @ bip.Q) * cand).sum(axis=1)
         for idx in np.flatnonzero(feas):
             v = vals[idx]
             if v < best_val - OPT_TOL:
@@ -426,47 +433,4 @@ def solve_bip_exhaustive(bip: Bip) -> BipSolution:
                 best_x = cand[idx].astype(np.int8)
     if best_x is None:
         return BipSolution(None, None, "infeasible", nodes=total)
-    return BipSolution(best_x, float(np.dot(bip.cost, best_x)), "optimal", nodes=total)
-
-
-def solve_quadratic_scan(V: np.ndarray, H: int, cost: np.ndarray, Q: np.ndarray,
-                         A: np.ndarray, b: list) -> BipSolution:
-    """Minimize cost.u + u'Qu over trajectories of H controls drawn from V.
-
-    V holds the candidate controls in lexicographic order, so trajectories
-    are scanned in lexicographic order, without pruning; A u <= b is checked
-    exactly, and the incumbent is replaced only when beaten by more than
-    1e-9, as in `solve_bip_exhaustive`.  Raises `EnumerationLimitError`
-    before any work when |V|^H exceeds SCAN_MAX_TRAJECTORIES.
-    """
-    n_c, n_v = V.shape
-    total = n_c ** H
-    if total > SCAN_MAX_TRAJECTORIES:
-        raise EnumerationLimitError(
-            f"trajectory scan limited to {SCAN_MAX_TRAJECTORIES} trajectories, "
-            f"got {n_c}^{H} = {total}")
-    V, lhs, num, den = _block_tables([V], H, A, b)
-    blocks = [slice(t * n_v, (t + 1) * n_v) for t in range(H)]
-    # cost is a sum of per-block and per-block-pair tables over the kept controls
-    lin = [V[t] @ cost[bt] + np.einsum("ai,ij,aj->a", V[t], Q[bt, bt], V[t])
-           for t, bt in enumerate(blocks)]
-    cross = {(t, r): V[t] @ (Q[blocks[t], blocks[r]] + Q[blocks[r], blocks[t]].T) @ V[r].T
-             for t, r in combinations(range(H), 2)}
-    k, grid, glhs, gval = _trailing_grid(lin, lhs, den, cross)
-
-    best, best_val = None, np.inf
-    for prefix in product(*(range(len(x)) for x in lin[:k])):
-        slack = num - den * sum((lhs[t][a] for t, a in enumerate(prefix)), 0)
-        rows = np.flatnonzero((glhs <= slack).all(axis=1))
-        head = sum(lin[t][a] for t, a in enumerate(prefix))
-        head += sum(cross[t, r][prefix[t], prefix[r]] for t, r in combinations(range(k), 2))
-        vals = gval[rows] + head
-        for t, i in product(range(k), range(H - k)):
-            vals += cross[t, k + i][prefix[t]][grid[rows, i]]
-        row, best_val = _improve(rows, vals, best_val)
-        if row is not None:
-            best = list(prefix) + list(grid[row])
-    if best is None:
-        return BipSolution(None, None, "infeasible", nodes=total)
-    x = np.concatenate([v[i] for v, i in zip(V, best)]).astype(np.int8)
-    return BipSolution(x, best_val, "optimal", nodes=total)
+    return BipSolution(best_x, bip.value(best_x), "optimal", nodes=total)

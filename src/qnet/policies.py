@@ -16,13 +16,13 @@ from .dynamics import check_feasible
 from .errors import ValidationError
 from .markov import MarkovChain
 from .model import ArrivalProcess, Network, enumerate_control_set
-from .optim import solve_bip, solve_bip_exhaustive, solve_quadratic_scan
-from .predictor import build_bip, build_constraints, quadratic_objective
+from .optim import solve_bip, solve_bip_exhaustive
+from .predictor import build_bip
 
 POLICY_KINDS = ("MW", "PNC", "FPNC", "IDLE", "RANDOM")
 PREDICTIVE_KINDS = ("PNC", "FPNC")
-# linear: the surrogate, solved by branch and bound; quadratic: the exact
-# expected sum of squares, solved by a scan over V^H
+# linear: the surrogate; quadratic: the exact expected sum of squares.
+# Both are solved by the same branch and bound.
 OBJECTIVES = ("linear", "quadratic")
 
 
@@ -34,7 +34,6 @@ def _positive_int(x) -> bool:
 class PolicySpec:
     kind: str
     horizon: int | None = None
-    tie_break: str = "lexicographic"
     node_budget: int | None = None
     objective: str = "linear"
 
@@ -48,8 +47,6 @@ class PolicySpec:
         if self.node_budget is not None and not _positive_int(self.node_budget):
             raise ValidationError("policy.node_budget", "expected a positive integer or null, "
                                                         f"got {self.node_budget!r}")
-        if self.tie_break != "lexicographic":
-            raise ValidationError("policy.tie_break", f"unsupported tie break {self.tie_break!r}")
         if self.objective not in OBJECTIVES:
             raise ValidationError("policy.objective", f"unknown objective {self.objective!r}; "
                                                       f"expected one of {', '.join(OBJECTIVES)}")
@@ -67,6 +64,8 @@ class PolicySpec:
         out = {"kind": self.kind}
         if self.horizon is not None:
             out["H"] = self.horizon
+        if self.node_budget is not None:
+            out["node_budget"] = self.node_budget
         if self.objective != "linear":
             out["objective"] = self.objective
         return out
@@ -87,19 +86,14 @@ class PolicySpec:
 
 
 def _solve_trajectory(net, chain, arrivals, q0, s0, H, node_budget, objective="linear"):
-    if objective == "quadratic":
-        cost, Q = quadratic_objective(net, chain, arrivals, q0, s0, H)
-        A, b, _ = build_constraints(net, q0, arrivals.rate, H)
-        sol = solve_quadratic_scan(enumerate_control_set(net), H, cost, Q, A, b)
-    else:
-        bip = build_bip(net, chain, arrivals, q0, s0, H)
-        sol = solve_bip(bip, node_budget=node_budget)
-        if sol.status == "budget-exhausted":
-            if bip.n <= 20:
-                sol = solve_bip_exhaustive(bip)
-            else:
-                raise RuntimeError(f"solver node budget exhausted on a {bip.n}-variable "
-                                   "program too large to enumerate")
+    bip = build_bip(net, chain, arrivals, q0, s0, H, objective)
+    sol = solve_bip(bip, node_budget=node_budget)
+    if sol.status == "budget-exhausted":
+        if bip.n <= 20:
+            sol = solve_bip_exhaustive(bip)
+        else:
+            raise RuntimeError(f"solver node budget exhausted on a {bip.n}-variable "
+                               "program too large to enumerate")
     if sol.status != "optimal":
         raise RuntimeError(f"trajectory program unexpectedly {sol.status}")
     return sol.x.reshape(H, net.n_v).astype(np.int64)

@@ -131,11 +131,18 @@ def build_constraints(net: Network, q0, rate: tuple, H: int,
 
 
 def build_bip(net: Network, chain: MarkovChain, arrivals: ArrivalProcess,
-              q0, init, H: int) -> Bip:
-    """Full binary program for one policy decision."""
-    cost = build_objective(net, chain, q0, init, arrivals.rate_float(), H)
+              q0, init, H: int, objective: str = "linear") -> Bip:
+    """Full binary program for one policy decision.
+
+    `objective` is "linear" (the surrogate) or "quadratic" (the exact
+    expected sum of squares, from `quadratic_objective`).
+    """
+    if objective == "quadratic":
+        cost, Q = quadratic_objective(net, chain, arrivals, q0, init, H)
+    else:
+        cost, Q = build_objective(net, chain, q0, init, arrivals.rate_float(), H), None
     A, b, families = build_constraints(net, q0, arrivals.rate, H)
-    return Bip(n=H * net.n_v, n_v=net.n_v, H=H, cost=cost, A=A, b=b, families=families)
+    return Bip(n=H * net.n_v, n_v=net.n_v, H=H, cost=cost, A=A, b=b, families=families, Q=Q)
 
 
 def quadratic_objective(net: Network, chain: MarkovChain, arrivals: ArrivalProcess,

@@ -137,6 +137,8 @@ SMALL_RED = scenario_example2("red", slots=20, replications=1).to_json()
     ("replications", "replications", True),
     ("seed", "seed", True),
     ("policy.node_budget", "policies", [{"kind": "PNC", "H": 2, "node_budget": "5"}]),
+    ("network.c", "network", dict(SMALL_RED["network"], c=["x"])),
+    ("arrivals.p", "arrivals", {"kind": "iid-bernoulli-batch", "p": 5}),
 ])
 def test_cli_malformed_fields_exit_2(tmp_path, capsys, path, field, value):
     bad = tmp_path / "bad.json"

@@ -6,8 +6,7 @@ from fractions import Fraction
 from itertools import product
 
 from qnet.errors import EnumerationLimitError
-from qnet.optim import (Bip, LpProblem, bip_to_text, solve_bip,
-                        solve_bip_exhaustive, solve_lp, solve_quadratic_scan)
+from qnet.optim import Bip, LpProblem, solve_bip, solve_bip_exhaustive, solve_lp
 from qnet import optim
 from qnet.model import enumerate_control_set
 from qnet.predictor import build_bip, build_constraints
@@ -219,20 +218,12 @@ def test_block_search_limit():
         solve_bip(bip)
 
 
-def test_instance_dump_grammar():
-    bip = Bip(n=2, n_v=2, H=1, cost=np.array([-1.0, 0.25]),
-              A=np.array([[1, 1]], dtype=np.int64), b=[Fraction(3, 2)],
-              families=["constituency"])
-    text = bip_to_text(bip)
-    assert text.splitlines()[0].startswith("min: ")
-    assert "constituency: 1 u0 + 1 u1 <= 3/2" in text
-
-
 @pytest.mark.parametrize("chunk", [None, 1])
 def test_quadratic_scan_matches_enumeration(rng, monkeypatch, chunk):
-    # coarse dyadic coefficients: values are exact and ties are frequent, so
-    # the lexicographic tie-break is exercised; chunk 1 puts all but the last
-    # block in the outer loop
+    # solve_bip with a quadratic term against brute force over V^H and
+    # against solve_bip_exhaustive.  Coarse dyadic coefficients: values are
+    # exact and ties are frequent, so the lexicographic tie-break is
+    # exercised; chunk 1 branches on every block but the last
     if chunk is not None:
         monkeypatch.setattr(optim, "SCAN_CHUNK", chunk)
     for _ in range(150):
@@ -242,7 +233,7 @@ def test_quadratic_scan_matches_enumeration(rng, monkeypatch, chunk):
         cost = rng.integers(-4, 5, size=n) / 4.0
         Q = rng.integers(-2, 3, size=(n, n)) / 4.0
         q0 = rng.integers(0, 3, size=net.n_q)
-        A, b, _ = build_constraints(net, q0, random_arrivals(rng, net.n_q).rate, H)
+        A, b, families = build_constraints(net, q0, random_arrivals(rng, net.n_q).rate, H)
         V = enumerate_control_set(net)
         best, best_val = None, np.inf
         for traj in product(V, repeat=H):
@@ -252,13 +243,10 @@ def test_quadratic_scan_matches_enumeration(rng, monkeypatch, chunk):
             val = cost @ u + u @ Q @ u
             if val < best_val - 1e-9:
                 best, best_val = u, val
-        sol = solve_quadratic_scan(V, H, cost, Q, A, b)
+        bip = Bip(n=n, n_v=net.n_v, H=H, cost=cost, A=A, b=b, families=families, Q=Q)
+        sol = solve_bip(bip)
         assert sol.status == "optimal"
         assert sol.x.tolist() == best.tolist()
         assert sol.value == best_val
-
-
-def test_quadratic_scan_limit_checked_first():
-    # 16^6 trajectories exceed the limit; the other arguments are never read
-    with pytest.raises(EnumerationLimitError):
-        solve_quadratic_scan(np.eye(16, dtype=np.int64), 6, None, None, None, None)
+        oracle = solve_bip_exhaustive(bip)
+        assert np.array_equal(sol.x, oracle.x) and sol.value == oracle.value

@@ -10,7 +10,7 @@ from qnet.policies import (FpncPolicy, PncPolicy, PolicySpec, make_policy,
                            mw_decide, pnc_decide, repair_control)
 from qnet.predictor import build_bip
 from qnet.optim import solve_bip
-from qnet.errors import EnumerationLimitError, ValidationError
+from qnet.errors import ValidationError
 from qnet.scenarios import scenario_example1, scenario_example2
 
 from conftest import random_arrivals, random_chain, random_network, zero_arrivals
@@ -79,10 +79,14 @@ def test_argmin_scale_invariance(rng):
         assert np.array_equal(solve_bip(bip).x, base)
 
 
-@pytest.mark.parametrize("cls", [PncPolicy, FpncPolicy])
-def test_memo_miss_builds_and_solves_once(monkeypatch, cls):
+@pytest.mark.parametrize("cls, objective", [
+    pytest.param(cls, objective, id=cls.__name__ + suffix)
+    for objective, suffix in (("linear", ""), ("quadratic", "-quadratic"))
+    for cls in (PncPolicy, FpncPolicy)])
+def test_memo_miss_builds_and_solves_once(monkeypatch, cls, objective):
     # build_bip and solve_bip are looked up on qnet.policies at call time, so
-    # wrappers patched there see every program the policies build and solve
+    # wrappers patched there see every program the policies build and solve,
+    # whichever the objective
     import qnet.policies as policies
     calls = {"build_bip": 0, "solve_bip": 0}
     for name in calls:
@@ -95,7 +99,7 @@ def test_memo_miss_builds_and_solves_once(monkeypatch, cls):
     assert callable(policies.solve_bip_exhaustive)
     sc = scenario_example2("red")
     H = 2
-    policy = cls(sc.net, sc.chain, sc.arrivals, H)
+    policy = cls(sc.net, sc.chain, sc.arrivals, H, objective=objective)
     states = [(0, 0), (1, 0), (0, 0), (2, 1), (1, 0), (2, 1), (3, 3), (0, 0), (3, 3), (2, 1)]
     seen = set()
     for i, q in enumerate(states):
@@ -162,11 +166,19 @@ def test_decisions_deterministic():
 
 
 def test_budget_exhaustion_falls_back_to_enumeration(rng):
-    sc = scenario_example2("red")
-    for q0 in ([4, 0], [4, 1], [9, 3]):
-        tight = pnc_decide(sc.net, sc.chain, sc.arrivals, q0, 0, 2, node_budget=1)
-        free = pnc_decide(sc.net, sc.chain, sc.arrivals, q0, 0, 2)
-        assert np.array_equal(tight, free)
+    # the quadratic fallback must score u'Qu too: in example1's state 2 at
+    # q0 = [1, 0, 0, 0] the linear part alone picks another first control
+    # (test_quadratic_objective_plans_handover)
+    red, ex1 = scenario_example2("red"), scenario_example1()
+    cases = [(red, q0, 0, 2, "linear") for q0 in ([4, 0], [4, 1], [9, 3])]
+    cases += [(ex1, [1, 0, 0, 0], 2, 2, "quadratic"), (ex1, [1, 1, 0, 1], 0, 2, "quadratic"),
+              (red, [4, 1], 0, 3, "quadratic"), (scenario_example2("green"), [9, 3], 0, 2,
+                                                 "quadratic")]
+    for sc, q0, s0, H, objective in cases:
+        tight = pnc_decide(sc.net, sc.chain, sc.arrivals, q0, s0, H, node_budget=1,
+                           objective=objective)
+        free = pnc_decide(sc.net, sc.chain, sc.arrivals, q0, s0, H, objective=objective)
+        assert np.array_equal(tight, free), (sc.name, q0, objective)
 
 
 def test_policy_spec_validation():
@@ -203,6 +215,9 @@ def test_policy_spec_validation():
     quad = PolicySpec.from_json({"kind": "PNC", "H": 5, "objective": "quadratic"})
     assert quad.name == "PNC-H5-quadratic"
     assert PolicySpec.from_json(quad.to_json()) == quad
+    budgeted = PolicySpec.from_json({"kind": "PNC", "H": 2, "node_budget": 50})
+    assert budgeted.to_json() == {"kind": "PNC", "H": 2, "node_budget": 50}
+    assert PolicySpec.from_json(budgeted.to_json()) == budgeted
 
 
 def test_quadratic_objective_plans_handover():
@@ -219,16 +234,11 @@ def test_quadratic_objective_plans_handover():
 
 
 def test_quadratic_policies_feasible():
-    sc = scenario_example2("blue")
-    for spec in (PolicySpec("PNC", 2, objective="quadratic"),
-                 PolicySpec("FPNC", 3, objective="quadratic")):
+    # example1 has 16 controls per slot: PNC-H6 searches 16^6 trajectories
+    blue, ex1 = scenario_example2("blue"), scenario_example1()
+    for sc, spec, slots in ((blue, PolicySpec("PNC", 2, objective="quadratic"), 300),
+                            (blue, PolicySpec("FPNC", 3, objective="quadratic"), 300),
+                            (ex1, PolicySpec("PNC", 6, objective="quadratic"), ex1.slots)):
         policy = make_policy(spec, sc.net, sc.chain, sc.arrivals)
-        trace = run(sc.net, sc.chain, sc.arrivals, policy, 300, make_streams(4))
-        assert trace.slots == 300  # run() itself verifies feasibility per step
-
-
-def test_quadratic_scan_limit():
-    # 16 controls per slot on example1: 16^6 trajectories exceed the scan limit
-    sc = scenario_example1()
-    with pytest.raises(EnumerationLimitError):
-        pnc_decide(sc.net, sc.chain, sc.arrivals, [1, 0, 0, 0], 0, 6, objective="quadratic")
+        trace = run(sc.net, sc.chain, sc.arrivals, policy, slots, make_streams(4))
+        assert trace.slots == slots  # run() itself verifies feasibility per step

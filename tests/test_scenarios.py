@@ -121,3 +121,19 @@ def test_scenario_validation_paths():
     bad["arrivals"] = {"kind": "iid-bernoulli-batch", "p": ["1/2", "0"], "batch": [5, 1]}
     with pytest.raises(ValidationError, match="a_hat"):
         validate_scenario(bad)
+    # non-numeric entries and a non-list p name their field (CLI exit 2)
+    net = sc["network"]
+    for path, block, value in (
+            ("network.c", "network", dict(net, c=["x"])),
+            ("network.W", "network", dict(net, W=[["x", 1.0, 1.0]])),
+            ("network.a_hat", "network", dict(net, a_hat=["x", 1])),
+            ("arrivals.value", "arrivals", {"kind": "constant", "value": ["x", 1]}),
+            ("arrivals.pattern", "arrivals", {"kind": "deterministic-periodic",
+                                              "pattern": [[1, "x"]]}),
+            ("arrivals.batch", "arrivals", {"kind": "iid-bernoulli-batch",
+                                            "p": ["1/2", "0"], "batch": ["x", 1]}),
+            ("arrivals.p", "arrivals", {"kind": "iid-bernoulli-batch", "p": 5}),
+            ("arrivals", "arrivals", ["constant", [1, 0]])):
+        with pytest.raises(ValidationError) as info:
+            validate_scenario(dict(sc, **{block: value}))
+        assert info.value.path == path
