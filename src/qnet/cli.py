@@ -75,6 +75,8 @@ def main(argv=None) -> int:
             return 0
 
         if args.command == "region":
+            if args.rays < 1:
+                raise ValidationError("--rays", f"expected a positive ray count, got {args.rays}")
             scenario = _load(args.scenario)
             path = write_region_csv(scenario, args.policy_set, _out_dir(args), args.rays)
             print(path)

@@ -7,6 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError
+from .model import _as_array
 
 ROW_SUM_TOL = 1e-12
 STATIONARY_TOL = 1e-12
@@ -46,7 +47,9 @@ class MarkovChain:
 
 
 def validate_chain(raw: dict) -> MarkovChain:
-    P = np.asarray(raw.get("P"), dtype=np.float64)
+    if not isinstance(raw, dict):
+        raise ValidationError("chain", f"expected an object, got {raw!r}")
+    P = _as_array(raw.get("P"), "chain.P", np.float64)
     if P.ndim != 2 or P.shape[0] != P.shape[1] or P.shape[0] == 0:
         raise ValidationError("chain.P", f"expected a square matrix, got shape {P.shape}")
     n_s = P.shape[0]
@@ -62,7 +65,10 @@ def validate_chain(raw: dict) -> MarkovChain:
     if (s0 is None) == (sigma0 is None):
         raise ValidationError("chain", "exactly one of s0, sigma0 is required")
     if s0 is not None:
-        s0 = int(s0)
+        try:
+            s0 = int(s0)
+        except (TypeError, ValueError):
+            raise ValidationError("chain.s0", f"expected a state index, got {s0!r}") from None
         if not 0 <= s0 < n_s:
             raise ValidationError("chain.s0", f"state {s0} outside 0..{n_s - 1}")
         return MarkovChain(n_s=n_s, P=P, s0=s0)

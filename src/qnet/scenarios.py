@@ -10,7 +10,7 @@ import numpy as np
 
 from .errors import ValidationError
 from .markov import MarkovChain, validate_chain
-from .model import ArrivalProcess, Network, validate_arrivals, validate_network
+from .model import ArrivalProcess, Network, _as_array, validate_arrivals, validate_network
 from .policies import PolicySpec
 
 DEFAULT_SLOTS = 1000
@@ -60,6 +60,8 @@ def _arrivals_to_json(ap: ArrivalProcess) -> dict:
 
 def validate_scenario(raw: dict) -> Scenario:
     """Field-by-field validation; errors carry the offending path."""
+    if not isinstance(raw, dict):
+        raise ValidationError("scenario", f"expected an object, got {raw!r}")
     name = raw.get("name")
     if not isinstance(name, str) or not name:
         raise ValidationError("name", "scenario needs a nonempty name")
@@ -79,8 +81,8 @@ def validate_scenario(raw: dict) -> Scenario:
         i = int(np.argmax(arrivals.a_hat > net.a_hat))
         raise ValidationError(f"arrivals[{i}]", "arrival samples can exceed the network bound a_hat")
     pol_raw = raw.get("policies")
-    if not pol_raw:
-        raise ValidationError("policies", "at least one policy is required")
+    if not isinstance(pol_raw, list) or not pol_raw:
+        raise ValidationError("policies", f"expected a nonempty list of policies, got {pol_raw!r}")
     policies = [PolicySpec.from_json(p) for p in pol_raw]
     slots = raw.get("slots")
     if not isinstance(slots, int) or isinstance(slots, bool) or slots < 1:
@@ -93,10 +95,14 @@ def validate_scenario(raw: dict) -> Scenario:
         raise ValidationError("seed", "an explicit integer seed is required")
     q0 = None
     if raw.get("q0") is not None:
-        q0 = np.asarray(raw["q0"], dtype=np.int64)
+        q0 = _as_array(raw["q0"], "q0")
         if q0.shape != (net.n_q,) or (q0 < 0).any():
             raise ValidationError("q0", f"expected {net.n_q} nonnegative integers")
-    region_scale = Fraction(str(raw.get("region_scale", 1)))
+    try:
+        region_scale = Fraction(str(raw.get("region_scale", 1)))
+    except (ValueError, ZeroDivisionError):
+        raise ValidationError("region_scale", f"expected a rational number, "
+                                              f"got {raw['region_scale']!r}") from None
     return Scenario(name=name, net=net, chain=chain, arrivals=arrivals,
                     policies=policies, slots=slots, replications=replications,
                     seed=seed, q0=q0, region_scale=region_scale,

@@ -8,10 +8,18 @@ Region membership solves, in exact rational arithmetic,
 and reports inside when the optimum exceeds 1e-9.  An infeasible program
 means no averaged control balances the arrival vector at all, which is
 likewise outside.
+
+Region boundaries along a ray a_bar = r d use the same constraints with r
+as a variable: one threshold LP maximizes r subject to eps >= 1e-9, which
+is exactly where the ray leaves the region.  `region_slice` still reports
+the midpoint of a bisection bracket, so its rows keep the values a per-step
+membership bisection prints; it decides each step against the threshold
+instead of solving a membership LP there.
 """
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
@@ -60,92 +68,138 @@ def _resolve_pi(query: RegionQuery) -> list[Fraction]:
     raise ValueError("multi-state region queries need explicit stationary weights pi")
 
 
+class _RegionProgram:
+    """The constraints every region LP of one query shares, over lambda >= 0:
+
+        lead . y + sum_k lambda_k cols[k] = rhs   (one row per queue),
+        sum_v lambda_{s,v} <= 1                   (one row per state),
+
+    where cols[k] is the exact effect pi_s * scale * (R W^s v) of option v
+    in state s, state-major.
+    """
+
+    def __init__(self, query: RegionQuery):
+        net = query.net
+        V = query.options if query.options is not None else enumerate_control_set(net)
+        pi = _resolve_pi(query)
+        scale = Fraction(query.effect_scale)
+        self.n_s, self.n_opt = net.n_s, len(V)
+        self.cols = []
+        for s in range(net.n_s):
+            RW = [[Fraction(int(net.R[i, j])) * Fraction(net.W[s][j]) for j in range(net.n_v)]
+                  for i in range(net.n_q)]
+            for v in V:
+                on = np.flatnonzero(v)
+                self.cols.append([scale * pi[s] * sum((RW[i][j] for j in on), Fraction(0))
+                                  for i in range(net.n_q)])
+
+    def _maximize_first(self, lead: list, rhs: list, bounds: list):
+        """Solve for max y_0 over [y, lambda]; lead[i] holds row i's y coefficients."""
+        n_y, n_lam = len(bounds), len(self.cols)
+        A_eq = [lead[i] + [c[i] for c in self.cols] for i in range(len(rhs))]
+        A_ub = []
+        for s in range(self.n_s):
+            row = [0] * (n_y + n_lam)
+            row[n_y + s * self.n_opt:n_y + (s + 1) * self.n_opt] = [1] * self.n_opt
+            A_ub.append(row)
+        return solve_lp(LpProblem(cost=[1] + [0] * (n_y - 1 + n_lam), A_ub=A_ub,
+                                  b_ub=[1] * self.n_s, A_eq=A_eq, b_eq=rhs,
+                                  bounds=bounds + [(0, None)] * n_lam, maximize=True),
+                        exact=True)
+
+    def membership(self, a_bar: list) -> RegionResult:
+        """max eps  s.t.  a_bar + sum lambda col = -eps 1."""
+        sol = self._maximize_first([[1] for _ in a_bar], [-a for a in a_bar], [(None, None)])
+        if sol.status == "infeasible":
+            return RegionResult("outside", None)
+        if sol.status == "unbounded":
+            # cannot happen with a finite option set and nonnegative rates
+            raise RuntimeError("region program unbounded; inputs are inconsistent")
+        eps = Fraction(sol.value)
+        if eps > EPS_THRESHOLD:
+            return RegionResult("inside", eps)
+        if eps < -EPS_THRESHOLD:
+            return RegionResult("outside", eps)
+        return RegionResult("boundary", eps)
+
+    def threshold(self, ray: list):
+        """max r >= 0  s.t.  r ray + eps 1 + sum lambda col = 0 with eps >= EPS_THRESHOLD.
+
+        Returns the exact optimum, None when no r >= 0 qualifies, and inf
+        when r is unbounded.
+        """
+        sol = self._maximize_first([[d, 1] for d in ray], [0] * len(ray),
+                                   [(0, None), (EPS_THRESHOLD, None)])
+        if sol.status == "infeasible":
+            return None
+        if sol.status == "unbounded":
+            return math.inf
+        return Fraction(sol.value)
+
+
 def region_membership(query: RegionQuery) -> RegionResult:
-    net = query.net
-    V = query.options if query.options is not None else enumerate_control_set(net)
-    pi = _resolve_pi(query)
-    scale = Fraction(query.effect_scale)
+    program = _RegionProgram(query)
     a_bar = [Fraction(x) for x in query.a_bar]
-    if len(a_bar) != net.n_q:
-        raise ValueError(f"expected {net.n_q} arrival rates, got {len(a_bar)}")
-
-    # effect of option v in state s: pi_s * scale * (R W^s v), exact
-    n_s = net.n_s
-    n_lam = n_s * len(V)
-    cols: list[list[Fraction]] = []
-    for s in range(n_s):
-        Ws = [Fraction(x) for x in net.W[s]]
-        for v in V:
-            eff = [scale * pi[s] * sum(Fraction(int(net.R[i, j])) * Ws[j] * int(v[j])
-                                       for j in range(net.n_v))
-                   for i in range(net.n_q)]
-            cols.append(eff)
-
-    # variables: [eps, lambda...]
-    cost = [1] + [0] * n_lam
-    A_eq = []
-    b_eq = []
-    for i in range(net.n_q):
-        A_eq.append([1] + [cols[k][i] for k in range(n_lam)])
-        b_eq.append(-a_bar[i])
-    A_ub = []
-    b_ub = []
-    for s in range(n_s):
-        row = [0] * (1 + n_lam)
-        for k in range(len(V)):
-            row[1 + s * len(V) + k] = 1
-        A_ub.append(row)
-        b_ub.append(1)
-    bounds = [(None, None)] + [(0, None)] * n_lam
-    sol = solve_lp(LpProblem(cost=cost, A_ub=A_ub, b_ub=b_ub, A_eq=A_eq, b_eq=b_eq,
-                             bounds=bounds, maximize=True), exact=True)
-    if sol.status == "infeasible":
-        return RegionResult("outside", None)
-    if sol.status == "unbounded":
-        # cannot happen with a finite option set and nonnegative rates
-        raise RuntimeError("region program unbounded; inputs are inconsistent")
-    eps = Fraction(sol.value)
-    if eps > EPS_THRESHOLD:
-        return RegionResult("inside", eps)
-    if eps < -EPS_THRESHOLD:
-        return RegionResult("outside", eps)
-    return RegionResult("boundary", eps)
+    if len(a_bar) != query.net.n_q:
+        raise ValueError(f"expected {query.net.n_q} arrival rates, got {len(a_bar)}")
+    return program.membership(a_bar)
 
 
 def region_slice(query: RegionQuery, directions, tol: float = 1e-6,
                  axes: tuple[int, int] = (0, 1)) -> list[dict]:
     """Boundary points along rays from the origin in a 2-d arrival plane.
 
-    Each direction (dx, dy) is bisected on the membership radius to `tol`.
     Returns one row per ray: direction, boundary point, and eps at half the
-    boundary radius.
+    boundary radius.  The boundary radius is the midpoint of a bisection
+    bracket of width `tol` (doubling from 1, then halving), so the rows keep
+    the values a per-step membership bisection prints.  Its steps are not
+    LPs: one threshold LP gives the exact radius r_thr where the ray leaves
+    the region, and a step at x > 0 is inside exactly when x < r_thr, or
+    x == r_thr and membership says inside there (a closed boundary, where
+    the program turns infeasible just past r_thr).  This holds because the
+    membership margin is concave along the ray and exceeds the threshold at
+    the origin.  In the one case where it does not, the origin not inside
+    while r_thr > 0, every step runs its membership LP.  So a ray costs the
+    threshold LP, at most one membership LP at r_thr and the `eps_at_half`
+    LP, plus one membership LP at the origin per call.  The effect columns
+    are built once per call.
     """
     ax, ay = axes
+    program = _RegionProgram(query)
+    origin_inside = program.membership([Fraction(0)] * query.net.n_q).kind == "inside"
     rows = []
     for d in directions:
         dx, dy = Fraction(d[0]), Fraction(d[1])
         if dx == 0 and dy == 0:
             warnings.warn("skipping degenerate direction (0, 0)")
             continue
+        ray = [Fraction(0)] * query.net.n_q
+        ray[ax] = dx
+        ray[ay] = dy
 
         def member(r: Fraction) -> RegionResult:
-            a = [Fraction(0)] * query.net.n_q
-            a[ax] = r * dx
-            a[ay] = r * dy
-            return region_membership(RegionQuery(net=query.net, a_bar=tuple(a),
-                                                 pi=query.pi, options=query.options,
-                                                 effect_scale=query.effect_scale))
+            return program.membership([r * x for x in ray])
+
+        r_thr = program.threshold(ray)
+        if r_thr is None:
+            r_thr = Fraction(0)    # no r >= 0 reaches the threshold: no step x > 0 is inside
+        if r_thr > 0 and not origin_inside:
+            def inside(x: Fraction) -> bool:
+                return member(x).kind == "inside"
+        else:
+            def inside(x: Fraction) -> bool:
+                return x < r_thr or (x == r_thr and member(x).kind == "inside")
 
         lo, hi = Fraction(0), Fraction(1)
         for _ in range(64):
-            if member(hi).kind != "inside":
+            if not inside(hi):
                 break
             lo, hi = hi, hi * 2
         else:
             raise RuntimeError(f"direction {d} appears unbounded; inconsistent region")
         while hi - lo > Fraction(repr(tol)):
             mid = (lo + hi) / 2
-            if member(mid).kind == "inside":
+            if inside(mid):
                 lo = mid
             else:
                 hi = mid

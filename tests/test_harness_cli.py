@@ -139,12 +139,26 @@ SMALL_RED = scenario_example2("red", slots=20, replications=1).to_json()
     ("policy.node_budget", "policies", [{"kind": "PNC", "H": 2, "node_budget": "5"}]),
     ("network.c", "network", dict(SMALL_RED["network"], c=["x"])),
     ("arrivals.p", "arrivals", {"kind": "iid-bernoulli-batch", "p": 5}),
+    ("q0", "q0", ["x", 1]),
+    ("region_scale", "region_scale", "x"),
+    ("chain.P", "chain", {"P": [["x"]], "s0": 0}),
+    ("chain.s0", "chain", {"P": [[1.0]], "s0": "x"}),
+    ("scenario", None, [1]),
+    ("policies", "policies", 5),
 ])
 def test_cli_malformed_fields_exit_2(tmp_path, capsys, path, field, value):
+    # field None replaces the whole document
     bad = tmp_path / "bad.json"
-    bad.write_text(json.dumps(dict(SMALL_RED, **{field: value})))
+    bad.write_text(json.dumps(value if field is None else dict(SMALL_RED, **{field: value})))
     assert main(["validate", str(bad)]) == 2
     assert f"{path}:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("rays", ["0", "-3"])
+def test_cli_region_rejects_nonpositive_rays(tmp_path, capsys, rays):
+    assert main(["region", "example2", "--rays", rays, "--out", str(tmp_path)]) == 2
+    assert "--rays:" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
 
 
 def test_cli_unknown_scenario(capsys):

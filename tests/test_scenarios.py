@@ -133,7 +133,16 @@ def test_scenario_validation_paths():
             ("arrivals.batch", "arrivals", {"kind": "iid-bernoulli-batch",
                                             "p": ["1/2", "0"], "batch": ["x", 1]}),
             ("arrivals.p", "arrivals", {"kind": "iid-bernoulli-batch", "p": 5}),
-            ("arrivals", "arrivals", ["constant", [1, 0]])):
+            ("arrivals", "arrivals", ["constant", [1, 0]]),
+            ("q0", "q0", ["x", 1]),
+            ("region_scale", "region_scale", "x"),
+            ("chain.P", "chain", {"P": [["x"]], "s0": 0}),
+            ("chain.s0", "chain", {"P": [[1.0]], "s0": "x"}),
+            ("chain", "chain", [[1.0]]),
+            ("policies", "policies", 5)):
         with pytest.raises(ValidationError) as info:
             validate_scenario(dict(sc, **{block: value}))
         assert info.value.path == path
+    with pytest.raises(ValidationError) as info:
+        validate_scenario([1])
+    assert info.value.path == "scenario"

@@ -1,16 +1,25 @@
 """Region membership/slicing and empirical stability classification."""
 
+import time
+from dataclasses import replace
+from fractions import Fraction
+
 import numpy as np
 import pytest
-from fractions import Fraction
+
+import qnet.stability
 
 from qnet.dynamics import make_streams, run
 from qnet.markov import validate_chain
 from qnet.model import enumerate_control_set, validate_arrivals, validate_network
+from qnet.harness import region_rows
 from qnet.policies import IdlePolicy, MwPolicy
 from qnet.scenarios import scenario_example2
 from qnet.stability import (RegionQuery, StabilityThresholds, assess_stability,
-                            mw_accessible_options, region_membership, region_slice)
+                            mw_accessible_options, region_membership, region_rows_to_csv,
+                            region_slice)
+
+from conftest import random_network
 
 EX2 = scenario_example2("red")
 SCALE = Fraction(4)
@@ -103,6 +112,119 @@ def test_region_slice_skips_degenerate():
     with pytest.warns(UserWarning, match="degenerate"):
         rows = region_slice(q, [(0, 0), (1, 0)])
     assert len(rows) == 1
+
+
+def bisection_oracle(query, directions, tol=1e-6, axes=(0, 1)):
+    """Per-step bisection: one membership LP at every doubling and halving step."""
+    ax, ay = axes
+    rows = []
+    for d in directions:
+        dx, dy = Fraction(d[0]), Fraction(d[1])
+        if dx == 0 and dy == 0:
+            continue
+
+        def member(r):
+            a = [Fraction(0)] * query.net.n_q
+            a[ax] = r * dx
+            a[ay] = r * dy
+            return region_membership(replace(query, a_bar=tuple(a)))
+
+        lo, hi = Fraction(0), Fraction(1)
+        for _ in range(64):
+            if member(hi).kind != "inside":
+                break
+            lo, hi = hi, hi * 2
+        else:
+            raise RuntimeError(f"direction {d} appears unbounded")
+        while hi - lo > Fraction(repr(tol)):
+            mid = (lo + hi) / 2
+            if member(mid).kind == "inside":
+                lo = mid
+            else:
+                hi = mid
+        r_star = (lo + hi) / 2
+        eps_half = member(r_star / 2).eps
+        rows.append({
+            "direction_x": float(dx), "direction_y": float(dy),
+            "boundary_x": float(r_star * dx), "boundary_y": float(r_star * dy),
+            "eps_at_half": float(eps_half) if eps_half is not None else float("nan"),
+        })
+    return rows
+
+
+def slice_csv(fn, query, directions, axes=(0, 1)):
+    try:
+        return region_rows_to_csv(fn(query, directions, axes=axes))
+    except RuntimeError:
+        return "unbounded"
+
+
+# r_thr = 1 on the ray (1, 0) with margin 1/2 there; just past it no mix balances
+CLOSED = validate_network({"R": [[1, -1, 0, -1], [0, 1, -1, -1]], "C": [[1, 1, 1, 1]],
+                           "c": [2], "W": [[0.25, 0.5, 0.5, 1.0]]})
+# no mix drains all three queues equally, so the origin is on the boundary;
+# along (0, 1, 1 - 2^-29) the margin is 2^-29 r, above 1e-9 only past r = 0.54
+NO_ORIGIN = validate_network({"R": [[-1, 1], [-1, 0], [0, -1]], "C": [[1, 1]], "c": [2],
+                              "W": [[1.0, 1.0]]})
+
+
+def random_region_case(rng):
+    net = random_network(rng, allow_copy=True)
+    w = [int(x) for x in rng.integers(1, 5, size=net.n_s)]
+    query = RegionQuery(net=net, a_bar=(Fraction(0),) * net.n_q,
+                        pi=tuple(Fraction(x, sum(w)) for x in w),
+                        options=mw_accessible_options(net) if rng.random() < 0.3 else None,
+                        effect_scale=Fraction(int(rng.integers(1, 5))))
+    axes = tuple(int(x) for x in rng.choice(net.n_q, size=2, replace=False))
+    low = -4 if rng.random() < 0.3 else 0
+    directions = []
+    for _ in range(2):
+        dx, dy = (Fraction(int(k), 8) for k in rng.integers(low, 9, size=2))
+        directions.append((dx, dy) if dx or dy else (dx, Fraction(1)))
+    return query, directions, axes
+
+
+def test_region_slice_matches_bisection_oracle(rng, monkeypatch):
+    ex2 = [RegionQuery(net=EX2.net, a_bar=(Fraction(0), Fraction(0)), options=opts,
+                       effect_scale=SCALE)
+           for opts in (None, mw_accessible_options(EX2.net))]
+    fan = [(Fraction(repr(round(float(np.cos(t)), 6))), Fraction(repr(round(float(np.sin(t)), 6))))
+           for t in np.linspace(0, np.pi / 2, 13)]
+    cases = [(q, fan, (0, 1)) for q in ex2]
+    cases.append((RegionQuery(net=CLOSED, a_bar=(0, 0)), [(1, 0), (0, 1), (1, 1)], (0, 1)))
+    cases.append((RegionQuery(net=CLOSED, a_bar=(0, 0)), [(1, 0)], (1, 0)))
+    cases.append((RegionQuery(net=NO_ORIGIN, a_bar=(0, 0, 0)),
+                  [(1, 1 - Fraction(1, 2**29)), (1, 0), (1, 1)], (1, 2)))
+    cases += [random_region_case(rng) for _ in range(20)]
+
+    calls = []
+    solve_lp = qnet.stability.solve_lp
+
+    def counting_solve_lp(*args, **kwargs):
+        calls.append(1)
+        return solve_lp(*args, **kwargs)
+
+    monkeypatch.setattr(qnet.stability, "solve_lp", counting_solve_lp)
+    for query, directions, axes in cases:
+        want = slice_csv(bisection_oracle, query, directions, axes)
+        got = slice_csv(region_slice, query, directions, axes)
+        assert got == want, (query.net.R.tolist(), directions, axes)
+    # threshold LP, one membership LP at r_thr when a step lands on it, and
+    # eps_at_half, plus the origin's membership LP once per call
+    for query in ex2:
+        calls.clear()
+        region_slice(query, fan)
+        assert len(calls) <= 3 * len(fan)
+    calls.clear()
+    region_slice(RegionQuery(net=CLOSED, a_bar=(0, 0)), [(1, 0), (0, 1)])
+    assert len(calls) <= 3 * 2
+
+
+def test_region_rows_time_bound():
+    t0 = time.perf_counter()
+    region_rows(scenario_example2("red"), "full", 13)
+    elapsed = time.perf_counter() - t0
+    assert elapsed < 1.0
 
 
 def test_assess_zero_arrivals_stable():
