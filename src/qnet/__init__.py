@@ -18,10 +18,10 @@ from .model import (ArrivalProcess, Network, enumerate_control_set,
 from .optim import (Bip, BipSolution, LpProblem, LpSolution, solve_bip,
                     solve_bip_exhaustive, solve_lp)
 from .policies import (FpncPolicy, IdlePolicy, MwPolicy, PncPolicy, PolicySpec,
-                       RandomPolicy, make_policy, mw_decide, pnc_decide)
+                       RandomPolicy, make_policy)
 from .predictor import (build_bip, build_constraints, build_objective,
-                        expected_weights, expected_weights_horizon,
-                        quadratic_objective, quadratic_objective_oracle)
+                        expected_weights_horizon, quadratic_objective,
+                        quadratic_objective_oracle)
 from .scenarios import (Scenario, builtin_scenario, load_scenario,
                         scenario_example1, scenario_example2, validate_scenario)
 from .stability import (RegionQuery, RegionResult, StabilityThresholds,

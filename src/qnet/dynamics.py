@@ -115,10 +115,7 @@ def step(net: Network, arrivals: ArrivalProcess, chain: MarkovChain,
 
 @dataclass
 class Trace:
-    scenario_id: str
-    seed: int
     records: list[StepRecord] = field(default_factory=list)
-    aborted: bool = False
 
     @property
     def slots(self) -> int:
@@ -143,20 +140,19 @@ class Trace:
 
 
 def run(net: Network, chain: MarkovChain, arrivals: ArrivalProcess, policy,
-        slots: int, streams: RngStreams, q0=None, scenario_id: str = "",
-        seed: int = 0) -> Trace:
+        slots: int, streams: RngStreams, q0=None) -> Trace:
     """Drive the network for `slots` slots under `policy`.
 
     The policy is consulted once per slot with (q_t, s_t).  An infeasible
     policy decision aborts the run with the diagnostic attached.  Identical
-    (scenario, seed) inputs reproduce the trace bit for bit.
+    inputs, streams seeded alike, reproduce the trace bit for bit.
     """
     q = np.zeros(net.n_q, dtype=np.int64) if q0 is None else np.asarray(q0, dtype=np.int64).copy()
     if (q < 0).any():
         raise ValueError("initial queue state must be nonnegative")
     s = chain.s0 if chain.s0 is not None else int(np.argmax(chain.sigma0))
     state = SimState(0, q, s)
-    trace = Trace(scenario_id=scenario_id, seed=seed)
+    trace = Trace()
     # one-slot change bounds; summing them gives the window bounds
     lo = -np.full(net.n_q, net.n_v, dtype=np.int64)
     hi = np.full(net.n_q, net.n_v, dtype=np.int64) + net.a_hat

@@ -51,12 +51,6 @@ class ExperimentResult:
             ]))
         return "\n".join(lines) + "\n"
 
-    def run_for(self, policy_name: str, replication: int = 0) -> RunResult:
-        for r in self.runs:
-            if r.policy == policy_name and r.replication == replication:
-                return r
-        raise KeyError(f"no run for {policy_name} replication {replication}")
-
 
 def run_one(scenario: Scenario, spec: PolicySpec, replication: int) -> RunResult:
     """One (policy, replication) simulation with its own rng streams."""
@@ -65,8 +59,7 @@ def run_one(scenario: Scenario, spec: PolicySpec, replication: int) -> RunResult
                          policy_rng=streams.policy)
     try:
         trace = run(scenario.net, scenario.chain, scenario.arrivals, policy,
-                    scenario.slots, streams, q0=scenario.q0,
-                    scenario_id=scenario.name, seed=scenario.seed)
+                    scenario.slots, streams, q0=scenario.q0)
     except PolicyContractError as exc:
         return RunResult(spec.name, replication, None, "aborted", 0.0, error=str(exc))
     window = max(2, scenario.slots // 2)

@@ -26,17 +26,6 @@ class MarkovChain:
         if self.sigma0 is not None:
             self.sigma0.setflags(write=False)
 
-    @property
-    def deterministic(self) -> bool:
-        return bool(np.isin(self.P, (0.0, 1.0)).all())
-
-    def initial_distribution(self) -> np.ndarray:
-        if self.sigma0 is not None:
-            return self.sigma0.copy()
-        sigma = np.zeros(self.n_s)
-        sigma[self.s0] = 1.0
-        return sigma
-
     def to_json(self) -> dict:
         out = {"P": self.P.tolist()}
         if self.s0 is not None:
@@ -65,39 +54,30 @@ def validate_chain(raw: dict) -> MarkovChain:
     if (s0 is None) == (sigma0 is None):
         raise ValidationError("chain", "exactly one of s0, sigma0 is required")
     if s0 is not None:
-        try:
-            s0 = int(s0)
-        except (TypeError, ValueError):
-            raise ValidationError("chain.s0", f"expected a state index, got {s0!r}") from None
-        if not 0 <= s0 < n_s:
-            raise ValidationError("chain.s0", f"state {s0} outside 0..{n_s - 1}")
-        return MarkovChain(n_s=n_s, P=P, s0=s0)
-    sigma0 = np.asarray(sigma0, dtype=np.float64)
+        index = _as_array(s0, "chain.s0")
+        if index.ndim or not 0 <= index < n_s:
+            raise ValidationError("chain.s0", f"expected a state index in 0..{n_s - 1}, "
+                                              f"got {s0!r}")
+        return MarkovChain(n_s=n_s, P=P, s0=int(index))
+    sigma0 = _as_array(sigma0, "chain.sigma0", np.float64)
     if sigma0.shape != (n_s,):
         raise ValidationError("chain.sigma0", f"expected length {n_s}")
-    if (sigma0 < 0).any() or abs(sigma0.sum() - 1.0) > ROW_SUM_TOL:
+    # NaN fails the comparison, and an infinite entry the sum
+    if not ((sigma0 >= 0).all() and abs(sigma0.sum() - 1.0) <= ROW_SUM_TOL):
         raise ValidationError("chain.sigma0", "must be nonnegative and sum to 1")
     return MarkovChain(n_s=n_s, P=P, sigma0=sigma0)
 
 
 def propagate(sigma0: np.ndarray, P: np.ndarray, t: int) -> np.ndarray:
-    """Distribution after t steps: sigma0 P^t.
+    """Distribution after t steps: sigma0 P^t, one vector-matrix product per step.
 
-    Deterministic (0/1) transition matrices are advanced by index shuffling
-    instead of floating multiplication, so permutation schedules reproduce
-    bit-exactly.
+    A 0/1 (deterministic) P started from a single state stays exact: each
+    step's entries are a single product with 1.0 plus zeros.
     """
     if t < 0:
         raise ValueError("t must be nonnegative")
     sigma = np.asarray(sigma0, dtype=np.float64).copy()
     P = np.asarray(P, dtype=np.float64)
-    if np.isin(P, (0.0, 1.0)).all():
-        nxt = P.argmax(axis=1)
-        for _ in range(t):
-            out = np.zeros_like(sigma)
-            np.add.at(out, nxt, sigma)
-            sigma = out
-        return sigma
     for _ in range(t):
         sigma = sigma @ P
     return sigma

@@ -11,6 +11,7 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass, field
 from fractions import Fraction
+from numbers import Real
 
 import numpy as np
 
@@ -66,10 +67,23 @@ class Network:
 
 
 def _as_array(raw, path: str, dtype=np.int64) -> np.ndarray:
+    """`raw` as an array of `dtype`, its entries checked before the cast.
+
+    Entries must be numbers, not bools or strings, and an integer field takes
+    integral values only: 1.5 or true is rejected, never cast to 1.
+    """
     try:
-        return np.asarray(raw, dtype=dtype)
-    except (TypeError, ValueError) as exc:
-        raise ValidationError(path, f"expected numeric entries ({exc})")
+        arr = np.asarray(raw, dtype=dtype)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ValidationError(path, f"expected numeric entries ({exc})") from None
+    integral = np.issubdtype(arr.dtype, np.integer)
+    for idx, x in np.ndenumerate(np.asarray(raw, dtype=object)):
+        if (isinstance(x, (bool, np.bool_)) or not isinstance(x, Real)
+                or integral and not float(x).is_integer()):
+            kind = "an integer" if integral else "a number"
+            raise ValidationError(path + "".join(f"[{i}]" for i in idx),
+                                  f"expected {kind}, got {x!r}")
+    return arr
 
 
 def _as_int_matrix(raw, path: str) -> np.ndarray:

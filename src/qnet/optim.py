@@ -1,9 +1,7 @@
 """In-repo solvers: dense two-phase simplex and trajectory search over binaries.
 
-The simplex runs in two arithmetic modes sharing one code path: float64 with
-a 1e-9 tolerance (checked against scipy in the tests; the package itself does
-not call it) and exact `Fraction` arithmetic with zero tolerance (used for
-region-membership feasibility).  Bland's rule is used throughout for
+The simplex runs in exact `Fraction` arithmetic with zero tolerance (used for
+region-membership and region-threshold programs), with Bland's rule for
 anti-cycling.  Binary trajectory programs, with a linear or a quadratic
 objective, are solved by branch and bound over per-slot control sets.
 """
@@ -19,8 +17,8 @@ import numpy as np
 
 from .errors import EnumerationLimitError, SolverStallError
 
-FLOAT_TOL = 1e-9
 OPT_TOL = 1e-9
+MAX_PIVOTS = 20000   # per simplex phase
 
 
 # ---------------------------------------------------------------------------
@@ -47,7 +45,7 @@ class LpSolution:
     value: object | None
 
 
-def _simplex_core(T, basis, tol, maxiter):
+def _simplex_core(T, basis):
     """Phase-2 style iteration on tableau T with reduced costs in the last row.
 
     Returns "optimal" or "unbounded". Bland's rule: entering column is the
@@ -56,10 +54,10 @@ def _simplex_core(T, basis, tol, maxiter):
     """
     m = len(basis)
     ncols = T.shape[1] - 1
-    for _ in range(maxiter):
+    for _ in range(MAX_PIVOTS):
         enter = -1
         for j in range(ncols):
-            if T[m, j] < -tol:
+            if T[m, j] < 0:
                 enter = j
                 break
         if enter < 0:
@@ -68,7 +66,7 @@ def _simplex_core(T, basis, tol, maxiter):
         best = None
         for i in range(m):
             a = T[i, enter]
-            if a > tol:
+            if a > 0:
                 ratio = T[i, -1] / a
                 if best is None or ratio < best:
                     best, leave = ratio, i
@@ -78,7 +76,7 @@ def _simplex_core(T, basis, tol, maxiter):
             return "unbounded"
         _pivot(T, basis, leave, enter)
     raise SolverStallError(
-        f"simplex exceeded {maxiter} pivots (m={m}, n={ncols}); "
+        f"simplex exceeded {MAX_PIVOTS} pivots (m={m}, n={ncols}); "
         "the instance may be degenerate or badly scaled")
 
 
@@ -93,15 +91,24 @@ def _pivot(T, basis, row, col):
     basis[row] = col
 
 
-def solve_lp(problem: LpProblem, exact: bool = False, maxiter: int = 20000) -> LpSolution:
-    """Two-phase dense simplex. `exact=True` runs on Fractions with tol 0."""
-    cast = (lambda v: Fraction(v)) if exact else float
-    zero, one = cast(0), cast(1)
-    tol = zero if exact else FLOAT_TOL
+def _exact(x) -> Fraction:
+    """x as a Fraction.  Numpy scalars become Python numbers first: a Fraction
+    built from np.int64 keeps it as its numerator, which then overflows."""
+    return Fraction(x.item() if isinstance(x, np.generic) else x)
+
+
+def solve_lp(problem: LpProblem, exact: bool = True) -> LpSolution:
+    """Two-phase dense simplex on Fractions; the optimum is exact.
+
+    `exact` must be True: there is no floating-point mode.
+    """
+    if not exact:
+        raise ValueError("solve_lp runs in exact arithmetic only; exact=False is not supported")
+    zero, one = Fraction(0), Fraction(1)
 
     n = len(problem.cost)
     sign = -1 if problem.maximize else 1
-    cost = [cast(problem.cost[j]) * sign for j in range(n)]
+    cost = [_exact(problem.cost[j]) * sign for j in range(n)]
     bounds = problem.bounds if problem.bounds is not None else [(0, None)] * n
 
     # map original variables onto nonnegative structural columns
@@ -114,21 +121,21 @@ def solve_lp(problem: LpProblem, exact: bool = False, maxiter: int = 20000) -> L
             col_terms.append((zero, [(ncols, one), (ncols + 1, -one)]))
             ncols += 2
         elif lo is None:
-            col_terms.append((cast(hi), [(ncols, -one)]))
+            col_terms.append((_exact(hi), [(ncols, -one)]))
             ncols += 1
         else:
-            col_terms.append((cast(lo), [(ncols, one)]))
+            col_terms.append((_exact(lo), [(ncols, one)]))
             if hi is not None:
-                extra_ub_rows.append((ncols, cast(hi) - cast(lo)))
+                extra_ub_rows.append((ncols, _exact(hi) - _exact(lo)))
             ncols += 1
 
     rows = []  # (coeffs over structural cols, rhs, is_eq)
 
     def _convert_row(coeffs, rhs, is_eq):
         out = [zero] * ncols
-        r = cast(rhs)
+        r = _exact(rhs)
         for j in range(n):
-            a = cast(coeffs[j])
+            a = _exact(coeffs[j])
             if a == 0:
                 continue
             off, terms = col_terms[j]
@@ -149,11 +156,8 @@ def solve_lp(problem: LpProblem, exact: bool = False, maxiter: int = 20000) -> L
     m = len(rows)
     n_slack = sum(1 for _, _, is_eq in rows if not is_eq)
     width = ncols + n_slack
-    dtype = object if exact else np.float64
 
-    T = np.zeros((m + 1, width + 1), dtype=dtype)
-    if exact:
-        T[:, :] = zero
+    T = np.full((m + 1, width + 1), zero, dtype=object)
     basis = [0] * m
     needs_artificial = []
     k = 0
@@ -173,9 +177,7 @@ def solve_lp(problem: LpProblem, exact: bool = False, maxiter: int = 20000) -> L
             needs_artificial.append(i)
 
     if needs_artificial:
-        art = np.zeros((m + 1, len(needs_artificial)), dtype=dtype)
-        if exact:
-            art[:, :] = zero
+        art = np.full((m + 1, len(needs_artificial)), zero, dtype=object)
         for a_idx, i in enumerate(needs_artificial):
             art[i, a_idx] = one
             basis[i] = width + a_idx
@@ -185,19 +187,15 @@ def solve_lp(problem: LpProblem, exact: bool = False, maxiter: int = 20000) -> L
             T[m, width + a_idx] = one
         for i in needs_artificial:
             T[m] = T[m] - T[i]
-        status = _simplex_core(T, basis, tol, maxiter)
-        if status != "optimal" or -T[m, -1] > tol:
+        status = _simplex_core(T, basis)
+        if status != "optimal" or T[m, -1] < 0:
             return LpSolution("infeasible", None, None)
         # drive remaining artificials out of the basis (or drop redundant rows)
         drop = []
         for i in range(m):
             if basis[i] >= width:
-                piv = -1
-                for j in range(width):
-                    if (T[i, j] > tol) or (T[i, j] < -tol):
-                        piv = j
-                        break
-                if piv >= 0:
+                piv = next((j for j in range(width) if T[i, j] != 0), None)
+                if piv is not None:
                     _pivot(T, basis, i, piv)
                 else:
                     drop.append(i)
@@ -209,7 +207,7 @@ def solve_lp(problem: LpProblem, exact: bool = False, maxiter: int = 20000) -> L
         T = np.concatenate([T[:, :width], T[:, -1:]], axis=1)
 
     # phase 2
-    T[m, :] = zero if exact else 0.0
+    T[m, :] = zero
     c_std = [zero] * width
     for j in range(n):
         _, terms = col_terms[j]
@@ -221,7 +219,7 @@ def solve_lp(problem: LpProblem, exact: bool = False, maxiter: int = 20000) -> L
         cb = c_std[basis[i]] if basis[i] < width else zero
         if cb != 0:
             T[m] = T[m] - cb * T[i]
-    status = _simplex_core(T, basis, tol, maxiter)
+    status = _simplex_core(T, basis)
     if status == "unbounded":
         return LpSolution("unbounded", None, None)
 
@@ -233,7 +231,7 @@ def solve_lp(problem: LpProblem, exact: bool = False, maxiter: int = 20000) -> L
     for j in range(n):
         off, terms = col_terms[j]
         x.append(off + sum(cf * x_std[col] for col, cf in terms))
-    value = sum(cast(problem.cost[j]) * x[j] for j in range(n))
+    value = sum(_exact(problem.cost[j]) * x[j] for j in range(n))
     return LpSolution("optimal", x, value)
 
 
@@ -256,7 +254,6 @@ class Bip:
     cost: np.ndarray
     A: np.ndarray
     b: list
-    families: list  # per-row label: constituency | positiveness | source
     Q: np.ndarray | None = None
 
     def rhs_scaled(self) -> tuple[np.ndarray, np.ndarray]:

@@ -14,8 +14,7 @@ import numpy as np
 
 from .dynamics import check_feasible
 from .errors import ValidationError
-from .markov import MarkovChain
-from .model import ArrivalProcess, Network, enumerate_control_set
+from .model import Network, enumerate_control_set
 from .optim import solve_bip, solve_bip_exhaustive
 from .predictor import build_bip
 
@@ -99,23 +98,12 @@ def _solve_trajectory(net, chain, arrivals, q0, s0, H, node_budget, objective="l
     return sol.x.reshape(H, net.n_v).astype(np.int64)
 
 
-def pnc_decide(net: Network, chain: MarkovChain, arrivals: ArrivalProcess,
-               q0, s0: int, H: int, node_budget: int | None = None,
-               objective: str = "linear") -> np.ndarray:
-    """First block of the optimal H-step trajectory at (q0, s0)."""
-    return _solve_trajectory(net, chain, arrivals, q0, s0, H, node_budget, objective)[0]
-
-
-def mw_decide(net: Network, chain: MarkovChain, arrivals: ArrivalProcess,
-              q0, s0: int) -> np.ndarray:
-    """Max-weight scheduling: the horizon-1 case of the predictive policy."""
-    return pnc_decide(net, chain, arrivals, q0, s0, H=1)
-
-
 class PncPolicy:
     """Receding horizon: re-solves every slot, applies only the first block.
 
-    Decisions are a pure function of (q, s) and are memoized per run.
+    Trajectories are a pure function of (q, s) and are memoized per run.
+    Each is stored once as a tuple of its blocks, so every memo hit returns
+    the same control objects.
     """
 
     def __init__(self, net, chain, arrivals, H: int, node_budget=None, objective="linear"):
@@ -126,18 +114,23 @@ class PncPolicy:
         self.n_solves = 0
         self._memo: dict = {}
 
+    def _trajectory(self, q, s) -> tuple:
+        key = (tuple(int(x) for x in q), int(s))
+        traj = self._memo.get(key)
+        if traj is None:
+            traj = tuple(_solve_trajectory(self.net, self.chain, self.arrivals, q, s,
+                                           self.H, self.node_budget, self.objective))
+            self._memo[key] = traj
+        return traj
+
     def decide(self, q, s) -> np.ndarray:
         self.n_solves += 1
-        key = (tuple(int(x) for x in q), int(s))
-        v = self._memo.get(key)
-        if v is None:
-            v = _solve_trajectory(self.net, self.chain, self.arrivals, q, s,
-                                  self.H, self.node_budget, self.objective)[0]
-            self._memo[key] = v
-        return v
+        return self._trajectory(q, s)[0]
 
 
 class MwPolicy(PncPolicy):
+    """Max-weight scheduling: the horizon-1 case of the predictive policy."""
+
     def __init__(self, net, chain, arrivals, node_budget=None):
         super().__init__(net, chain, arrivals, H=1, node_budget=node_budget)
 
@@ -161,32 +154,20 @@ def repair_control(net: Network, q, v) -> np.ndarray:
             v[res.index] = 0
 
 
-class FpncPolicy:
+class FpncPolicy(PncPolicy):
     """Fixed-trajectory variant: consumes a whole solved trajectory before
     re-optimizing; infeasible pending blocks are repaired by dropping the
     violating links."""
 
     def __init__(self, net, chain, arrivals, H: int, node_budget=None, objective="linear"):
-        self.net, self.chain, self.arrivals = net, chain, arrivals
-        self.H = H
-        self.node_budget = node_budget
-        self.objective = objective
-        self.n_solves = 0
-        self._memo: dict = {}
+        super().__init__(net, chain, arrivals, H, node_budget, objective)
         self._pending: list[np.ndarray] = []
 
     def decide(self, q, s) -> np.ndarray:
         if not self._pending:
             self.n_solves += 1
-            key = (tuple(int(x) for x in q), int(s))
-            traj = self._memo.get(key)
-            if traj is None:
-                traj = _solve_trajectory(self.net, self.chain, self.arrivals, q, s,
-                                         self.H, self.node_budget, self.objective)
-                self._memo[key] = traj
-            self._pending = [traj[t] for t in range(self.H)]
-        v = self._pending.pop(0)
-        return repair_control(self.net, q, v)
+            self._pending = list(self._trajectory(q, s))
+        return repair_control(self.net, q, self._pending.pop(0))
 
 
 class IdlePolicy:

@@ -37,20 +37,6 @@ from .optim import Bip
 ORACLE_MAX_VARS = 16
 
 
-def expected_weights(chain: MarkovChain, W: np.ndarray, init, t: int) -> np.ndarray:
-    """Expected success-probability diagonal t slots ahead of `init`.
-
-    `init` is a state index or a distribution over states.
-    """
-    if np.isscalar(init):
-        sigma0 = np.zeros(chain.n_s)
-        sigma0[int(init)] = 1.0
-    else:
-        sigma0 = np.asarray(init, dtype=np.float64)
-    sigma_t = propagate(sigma0, chain.P, t)
-    return sigma_t @ W
-
-
 def _state_distributions(chain: MarkovChain, init, H: int) -> list[np.ndarray]:
     """Chain-state distributions sigma_0 .. sigma_{H-1}; one propagation per step."""
     if np.isscalar(init):
@@ -84,21 +70,21 @@ def build_objective(net: Network, chain: MarkovChain, q0, init, a_bar, H: int) -
     return np.concatenate(blocks)
 
 
-def build_constraints(net: Network, q0, rate: tuple, H: int,
-                      source_gates: bool = True):
-    """Stacked inequality system (A, b, families) over {0,1}^{H n_v}.
+def build_constraints(net: Network, q0, rate: tuple, H: int):
+    """Stacked inequality system (A, b) over {0,1}^{H n_v}.
 
     A is integer; b entries are exact (ints or Fractions built from the mean
-    arrival rate).  With `source_gates`, links whose required source queues
-    are empty at the decision state are pinned to zero in the first block,
-    which keeps the returned first control feasible for copy links that the
-    positiveness rows cannot see.
+    arrival rate).  Rows come in three groups, in this order: constituency
+    (n_c per block), positiveness (n_q per block), then one source row per
+    link whose required source queues are empty at the decision state,
+    pinning it to zero in the first block.  The source rows keep the first
+    control feasible for copy links that the positiveness rows cannot see.
     """
     if H < 1:
         raise ValueError("horizon must be >= 1")
     n_v, n_q = net.n_v, net.n_q
     n = H * n_v
-    rows, rhs, families = [], [], []
+    rows, rhs = [], []
 
     for t in range(H):
         for k in range(net.C.shape[0]):
@@ -106,7 +92,6 @@ def build_constraints(net: Network, q0, rate: tuple, H: int,
             row[t * n_v:(t + 1) * n_v] = net.C[k]
             rows.append(row)
             rhs.append(int(net.c[k]))
-            families.append("constituency")
     for t in range(H):
         for i in range(n_q):
             row = np.zeros(n, dtype=np.int64)
@@ -115,19 +100,14 @@ def build_constraints(net: Network, q0, rate: tuple, H: int,
                 row[tau * n_v:(tau + 1) * n_v] = -net.R[i]
             rows.append(row)
             rhs.append(int(q0[i]) + t * Fraction(rate[i]))
-            families.append("positiveness")
-    if source_gates:
-        for j in range(n_v):
-            starved = any(net.S_req[i, j] and q0[i] < 1 for i in range(n_q))
-            if starved:
-                row = np.zeros(n, dtype=np.int64)
-                row[j] = 1
-                rows.append(row)
-                rhs.append(0)
-                families.append("source")
+    for j in range(n_v):
+        if any(net.S_req[i, j] and q0[i] < 1 for i in range(n_q)):
+            row = np.zeros(n, dtype=np.int64)
+            row[j] = 1
+            rows.append(row)
+            rhs.append(0)
 
-    A = np.array(rows, dtype=np.int64) if rows else np.zeros((0, n), dtype=np.int64)
-    return A, rhs, families
+    return np.array(rows, dtype=np.int64), rhs
 
 
 def build_bip(net: Network, chain: MarkovChain, arrivals: ArrivalProcess,
@@ -141,8 +121,8 @@ def build_bip(net: Network, chain: MarkovChain, arrivals: ArrivalProcess,
         cost, Q = quadratic_objective(net, chain, arrivals, q0, init, H)
     else:
         cost, Q = build_objective(net, chain, q0, init, arrivals.rate_float(), H), None
-    A, b, families = build_constraints(net, q0, arrivals.rate, H)
-    return Bip(n=H * net.n_v, n_v=net.n_v, H=H, cost=cost, A=A, b=b, families=families, Q=Q)
+    A, b = build_constraints(net, q0, arrivals.rate, H)
+    return Bip(n=H * net.n_v, n_v=net.n_v, H=H, cost=cost, A=A, b=b, Q=Q)
 
 
 def quadratic_objective(net: Network, chain: MarkovChain, arrivals: ArrivalProcess,

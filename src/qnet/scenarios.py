@@ -101,8 +101,10 @@ def validate_scenario(raw: dict) -> Scenario:
     try:
         region_scale = Fraction(str(raw.get("region_scale", 1)))
     except (ValueError, ZeroDivisionError):
-        raise ValidationError("region_scale", f"expected a rational number, "
-                                              f"got {raw['region_scale']!r}") from None
+        region_scale = None
+    if region_scale is None or region_scale <= 0:
+        raise ValidationError("region_scale", f"expected a positive rational number, "
+                                              f"got {raw['region_scale']!r}")
     return Scenario(name=name, net=net, chain=chain, arrivals=arrivals,
                     policies=policies, slots=slots, replications=replications,
                     seed=seed, q0=q0, region_scale=region_scale,

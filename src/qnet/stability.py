@@ -31,6 +31,7 @@ from .model import Network, enumerate_control_set
 from .optim import LpProblem, solve_lp
 
 EPS_THRESHOLD = Fraction(1, 10**9)
+BRACKET_WIDTH = Fraction(1, 10**6)
 
 
 @dataclass
@@ -145,13 +146,13 @@ def region_membership(query: RegionQuery) -> RegionResult:
     return program.membership(a_bar)
 
 
-def region_slice(query: RegionQuery, directions, tol: float = 1e-6,
+def region_slice(query: RegionQuery, directions,
                  axes: tuple[int, int] = (0, 1)) -> list[dict]:
     """Boundary points along rays from the origin in a 2-d arrival plane.
 
     Returns one row per ray: direction, boundary point, and eps at half the
     boundary radius.  The boundary radius is the midpoint of a bisection
-    bracket of width `tol` (doubling from 1, then halving), so the rows keep
+    bracket of width 1e-6 (doubling from 1, then halving), so the rows keep
     the values a per-step membership bisection prints.  Its steps are not
     LPs: one threshold LP gives the exact radius r_thr where the ray leaves
     the region, and a step at x > 0 is inside exactly when x < r_thr, or
@@ -197,7 +198,7 @@ def region_slice(query: RegionQuery, directions, tol: float = 1e-6,
             lo, hi = hi, hi * 2
         else:
             raise RuntimeError(f"direction {d} appears unbounded; inconsistent region")
-        while hi - lo > Fraction(repr(tol)):
+        while hi - lo > BRACKET_WIDTH:
             mid = (lo + hi) / 2
             if inside(mid):
                 lo = mid

@@ -38,14 +38,9 @@ def random_network(rng, n_q=None, n_v=None, n_s=None, allow_copy=False):
     return validate_network({"R": R, "C": C, "c": c, "W": W, "a_hat": [2] * n_q})
 
 
-def random_chain(rng, n_s, deterministic=False):
-    if deterministic:
-        perm = rng.permutation(n_s)
-        P = np.zeros((n_s, n_s))
-        P[np.arange(n_s), perm] = 1.0
-    else:
-        P = rng.integers(1, 9, size=(n_s, n_s)).astype(float)
-        P /= P.sum(axis=1, keepdims=True)
+def random_chain(rng, n_s):
+    P = rng.integers(1, 9, size=(n_s, n_s)).astype(float)
+    P /= P.sum(axis=1, keepdims=True)
     return validate_chain({"P": P.tolist(), "s0": int(rng.integers(n_s))})
 
 

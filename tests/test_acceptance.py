@@ -14,7 +14,7 @@ from qnet.dynamics import check_feasible, make_streams, run
 from qnet.harness import run_experiment, run_one
 from qnet.model import enumerate_control_set
 from qnet.optim import solve_bip, solve_bip_exhaustive
-from qnet.policies import PolicySpec, RandomPolicy, mw_decide, pnc_decide
+from qnet.policies import MwPolicy, PncPolicy, PolicySpec, RandomPolicy
 from qnet.predictor import build_bip, quadratic_objective_oracle
 from qnet.scenarios import scenario_example1, scenario_example2
 from qnet.stability import RegionQuery, mw_accessible_options, region_membership
@@ -69,8 +69,8 @@ def test_criterion_2_mw_equals_pnc_h1():
         arr = random_arrivals(rng, net.n_q)
         q0 = rng.integers(0, 7, size=net.n_q)
         s0 = int(rng.integers(net.n_s))
-        via_mw = mw_decide(net, chain, arr, q0, s0)
-        via_h1 = pnc_decide(net, chain, arr, q0, s0, 1)
+        via_mw = MwPolicy(net, chain, arr).decide(q0, s0)
+        via_h1 = PncPolicy(net, chain, arr, 1).decide(q0, s0)
         assert np.array_equal(via_mw, via_h1), k
 
         # classical back-pressure oracle on the enumerated control set

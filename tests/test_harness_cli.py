@@ -19,6 +19,10 @@ def small_example2(point="red", slots=300, reps=2):
     return sc
 
 
+def run_for(result, policy, replication=0):
+    return next(r for r in result.runs if (r.policy, r.replication) == (policy, replication))
+
+
 def test_run_experiment_files_and_summary(tmp_path):
     sc = small_example2()
     res = run_experiment(sc, out_dir=str(tmp_path))
@@ -31,7 +35,7 @@ def test_run_experiment_files_and_summary(tmp_path):
         rows = list(csv.DictReader(fh))
     assert len(rows) == 4
     for row in rows:
-        r = res.run_for(row["policy"], int(row["replication"]))
+        r = run_for(res, row["policy"], int(row["replication"]))
         tr = r.trace
         assert int(row["delivered"]) == tr.cumulative_delivered()
         assert int(row["arrivals"]) == tr.cumulative_arrivals()
@@ -52,8 +56,8 @@ def test_rerun_byte_identical(tmp_path):
 def test_paired_environment_across_policies(tmp_path):
     sc = small_example2(point="blue", slots=400, reps=1)
     res = run_experiment(sc)
-    t_mw = res.run_for("MW").trace
-    t_pnc = res.run_for("PNC-H2").trace
+    t_mw = run_for(res, "MW").trace
+    t_pnc = run_for(res, "PNC-H2").trace
     for a, b in zip(t_mw.records, t_pnc.records):
         assert np.array_equal(a.a, b.a)
         assert a.s == b.s
@@ -145,6 +149,18 @@ SMALL_RED = scenario_example2("red", slots=20, replications=1).to_json()
     ("chain.s0", "chain", {"P": [[1.0]], "s0": "x"}),
     ("scenario", None, [1]),
     ("policies", "policies", 5),
+    ("q0[0]", "q0", [1.5, 2.7]),
+    ("q0[0]", "q0", [True, 2]),
+    ("network.R[1][2]", "network", dict(SMALL_RED["network"], R=[[-1, 0, -1], [0, 1, -1.5]])),
+    ("network.c[0]", "network", dict(SMALL_RED["network"], c=[1.9])),
+    ("network.a_hat[0]", "network", dict(SMALL_RED["network"], a_hat=[True, 1])),
+    ("arrivals.batch[0]", "arrivals", {"kind": "iid-bernoulli-batch", "p": ["1/2", "0"],
+                                       "batch": [1.5, 1]}),
+    ("chain.s0", "chain", {"P": [[1.0]], "s0": 0.9}),
+    ("chain.sigma0", "chain", {"P": [[1.0]], "sigma0": [float("nan")]}),
+    ("chain.sigma0", "chain", {"P": [[1.0]], "sigma0": ["x"]}),
+    ("region_scale", "region_scale", -2),
+    ("region_scale", "region_scale", 0),
 ])
 def test_cli_malformed_fields_exit_2(tmp_path, capsys, path, field, value):
     # field None replaces the whole document

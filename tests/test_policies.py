@@ -6,8 +6,8 @@ import pytest
 from qnet.dynamics import check_feasible, make_streams, run
 from qnet.markov import validate_chain
 from qnet.model import enumerate_control_set, validate_arrivals, validate_network
-from qnet.policies import (FpncPolicy, PncPolicy, PolicySpec, make_policy,
-                           mw_decide, pnc_decide, repair_control)
+from qnet.policies import (FpncPolicy, MwPolicy, PncPolicy, PolicySpec, make_policy,
+                           repair_control)
 from qnet.predictor import build_bip
 from qnet.optim import solve_bip
 from qnet.errors import ValidationError
@@ -23,8 +23,7 @@ ONE_STATE = validate_chain({"P": [[1.0]], "s0": 0})
 def backpressure_oracle(net, chain, arrivals, q0, s0):
     """Classical argmax of (q0+rate)'(-R What_0) v over the feasible controls,
     ties broken toward the lexicographically smallest vector."""
-    w0 = chain.initial_distribution() @ net.W if s0 is None else net.W[s0]
-    weights = (np.asarray(q0) + arrivals.rate_float()) @ (-net.R) * w0
+    weights = (np.asarray(q0) + arrivals.rate_float()) @ (-net.R) * net.W[s0]
     best, best_val = None, None
     for v in enumerate_control_set(net):
         if not check_feasible(net, q0, v).ok:
@@ -35,21 +34,26 @@ def backpressure_oracle(net, chain, arrivals, q0, s0):
     return np.asarray(best, dtype=np.int64)
 
 
+def first_control(net, chain, arrivals, q0, s0, H, **kwargs):
+    """The first control a fresh receding-horizon policy applies at (q0, s0)."""
+    return PncPolicy(net, chain, arrivals, H, **kwargs).decide(q0, s0)
+
+
 def test_empty_network_idles():
-    v = pnc_decide(RELAY, ONE_STATE, zero_arrivals(2), [0, 0], 0, 3)
+    v = first_control(RELAY, ONE_STATE, zero_arrivals(2), [0, 0], 0, 3)
     assert v.tolist() == [0, 0]
 
 
 def test_h1_relay_head_packet():
-    v = pnc_decide(RELAY, ONE_STATE, zero_arrivals(2), [3, 0], 0, 1)
+    v = first_control(RELAY, ONE_STATE, zero_arrivals(2), [3, 0], 0, 1)
     assert v.tolist() == [1, 0]
 
 
 def test_example2_share_when_depleted():
     sc = scenario_example2("red")
-    v = pnc_decide(sc.net, sc.chain, sc.arrivals, [4, 0], 0, 2)
+    v = first_control(sc.net, sc.chain, sc.arrivals, [4, 0], 0, 2)
     assert v.tolist() == [0, 1, 0]
-    v = pnc_decide(sc.net, sc.chain, sc.arrivals, [4, 1], 0, 2)
+    v = first_control(sc.net, sc.chain, sc.arrivals, [4, 1], 0, 2)
     assert v.tolist() == [0, 0, 1]
 
 
@@ -60,8 +64,8 @@ def test_mw_is_h1(rng):
         arr = random_arrivals(rng, net.n_q)
         q0 = rng.integers(0, 6, size=net.n_q)
         s0 = int(rng.integers(net.n_s))
-        a = mw_decide(net, chain, arr, q0, s0)
-        b = pnc_decide(net, chain, arr, q0, s0, 1)
+        a = MwPolicy(net, chain, arr).decide(q0, s0)
+        b = first_control(net, chain, arr, q0, s0, 1)
         assert np.array_equal(a, b)
         assert np.array_equal(a, backpressure_oracle(net, chain, arr, q0, s0))
         assert check_feasible(net, q0, a).ok
@@ -175,9 +179,9 @@ def test_budget_exhaustion_falls_back_to_enumeration(rng):
               (red, [4, 1], 0, 3, "quadratic"), (scenario_example2("green"), [9, 3], 0, 2,
                                                  "quadratic")]
     for sc, q0, s0, H, objective in cases:
-        tight = pnc_decide(sc.net, sc.chain, sc.arrivals, q0, s0, H, node_budget=1,
-                           objective=objective)
-        free = pnc_decide(sc.net, sc.chain, sc.arrivals, q0, s0, H, objective=objective)
+        tight = first_control(sc.net, sc.chain, sc.arrivals, q0, s0, H, node_budget=1,
+                              objective=objective)
+        free = first_control(sc.net, sc.chain, sc.arrivals, q0, s0, H, objective=objective)
         assert np.array_equal(tight, free), (sc.name, q0, objective)
 
 
@@ -227,8 +231,8 @@ def test_quadratic_objective_plans_handover():
     # queue and takes the tie-break feed to AP1, where the packet strands.
     sc = scenario_example1()
     q0 = [1, 0, 0, 0]
-    linear = pnc_decide(sc.net, sc.chain, sc.arrivals, q0, 2, 2)
-    quad = pnc_decide(sc.net, sc.chain, sc.arrivals, q0, 2, 2, objective="quadratic")
+    linear = first_control(sc.net, sc.chain, sc.arrivals, q0, 2, 2)
+    quad = first_control(sc.net, sc.chain, sc.arrivals, q0, 2, 2, objective="quadratic")
     assert quad.tolist() == [0, 1, 0, 0, 0, 0]
     assert linear.tolist() == [0, 0, 1, 0, 0, 0]
 

@@ -8,8 +8,8 @@ from itertools import product
 from qnet.markov import validate_chain
 from qnet.model import validate_arrivals, validate_network, enumerate_control_set
 from qnet.predictor import (build_constraints, build_objective, build_bip,
-                            expected_weights, expected_weights_horizon,
-                            quadratic_objective, quadratic_objective_oracle)
+                            expected_weights_horizon, quadratic_objective,
+                            quadratic_objective_oracle)
 
 from conftest import random_arrivals, random_chain, random_network, zero_arrivals
 
@@ -26,23 +26,21 @@ def _feasible(A, b, x):
 def test_expected_weights_single_state():
     W = np.array([[0.25, 0.75]])
     chain = validate_chain({"P": [[1.0]], "s0": 0})
-    for t in range(4):
-        assert np.allclose(expected_weights(chain, W, 0, t), [0.25, 0.75])
+    assert np.allclose(expected_weights_horizon(chain, W, 0, 4), [[0.25, 0.75]] * 4)
 
 
 def test_expected_weights_identity_chain():
     W = np.array([[0.25, 0.75], [1.0, 0.0]])
     chain = validate_chain({"P": [[1.0, 0.0], [0.0, 1.0]], "s0": 1})
-    for t in range(4):
-        assert np.allclose(expected_weights(chain, W, 1, t), [1.0, 0.0])
+    assert np.allclose(expected_weights_horizon(chain, W, 1, 4), [[1.0, 0.0]] * 4)
 
 
 def test_expected_weights_alternating_chain():
+    # a 0/1 chain from a single state stays exact, slot by slot
     W = np.array([[1.0, 0.0], [0.0, 1.0]])
     chain = validate_chain({"P": [[0.0, 1.0], [1.0, 0.0]], "s0": 0})
-    assert expected_weights(chain, W, 0, 0).tolist() == [1.0, 0.0]
-    assert expected_weights(chain, W, 0, 1).tolist() == [0.0, 1.0]
-    assert expected_weights(chain, W, 0, 2).tolist() == [1.0, 0.0]
+    assert expected_weights_horizon(chain, W, 0, 3).tolist() == [[1.0, 0.0], [0.0, 1.0],
+                                                                 [1.0, 0.0]]
 
 
 def test_expected_weights_linear_in_distribution(rng):
@@ -51,11 +49,10 @@ def test_expected_weights_linear_in_distribution(rng):
         chain = random_chain(rng, 3)
         lam = rng.random()
         mix = lam * np.eye(3)[0] + (1 - lam) * np.eye(3)[2]
-        for t in (0, 1, 3):
-            direct = expected_weights(chain, net.W, mix, t)
-            combo = (lam * expected_weights(chain, net.W, np.eye(3)[0], t)
-                     + (1 - lam) * expected_weights(chain, net.W, np.eye(3)[2], t))
-            assert np.allclose(direct, combo, atol=1e-12)
+        direct = expected_weights_horizon(chain, net.W, mix, 4)
+        combo = (lam * expected_weights_horizon(chain, net.W, np.eye(3)[0], 4)
+                 + (1 - lam) * expected_weights_horizon(chain, net.W, np.eye(3)[2], 4))
+        assert np.allclose(direct, combo, atol=1e-12)
 
 
 def test_objective_h1_formula(rng):
@@ -65,7 +62,7 @@ def test_objective_h1_formula(rng):
         arr = random_arrivals(rng, net.n_q)
         q0 = rng.integers(0, 6, size=net.n_q)
         cost = build_objective(net, chain, q0, chain.s0, arr.rate_float(), 1)
-        w0 = expected_weights(chain, net.W, chain.s0, 0)
+        w0 = net.W[chain.s0]
         expect = 2.0 * (q0 + arr.rate_float()) @ net.R * w0
         assert np.allclose(cost, expect, atol=1e-12)
 
@@ -92,11 +89,16 @@ def test_objective_block_coefficients(rng):
                        ((2 * q0 + 2 * H * a) @ net.R) * What[H - 1])
 
 
+def _row_families(net, H):
+    """Leading row counts of build_constraints: constituency, then positiveness."""
+    return H * net.C.shape[0], H * net.n_q
+
+
 def test_constraints_h1_collapse():
-    A, b, fams = build_constraints(RELAY, [0, 5], (Fraction(0), Fraction(0)), 1)
-    # one constituency row, two positiveness rows, one source gate (queue 0 empty)
-    assert fams.count("constituency") == 1
-    assert fams.count("positiveness") == 2
+    A, b = build_constraints(RELAY, [0, 5], (Fraction(0), Fraction(0)), 1)
+    # one constituency row, two positiveness rows, then one source gate:
+    # queue 0 is empty, so link 0 is pinned to zero
+    assert A.tolist() == [[0, 0], [1, 0], [0, 1], [1, 0]] and b == [1, 0, 5, 0]
     # activating link 0 drains the empty first queue: infeasible
     assert not _feasible(A, b, np.array([1, 0]))
     assert _feasible(A, b, np.array([0, 1]))
@@ -104,7 +106,7 @@ def test_constraints_h1_collapse():
 
 def test_constraints_two_step_pipeline():
     # one packet at the head queue: feed it forward, then drain it
-    A, b, _ = build_constraints(RELAY, [1, 0], (Fraction(0), Fraction(0)), 2)
+    A, b = build_constraints(RELAY, [1, 0], (Fraction(0), Fraction(0)), 2)
     good = np.array([1, 0, 0, 1])   # link 0 first, link 1 second
     bad = np.array([0, 1, 0, 0])    # draining the empty second queue first
     assert _feasible(A, b, good)
@@ -116,9 +118,9 @@ def test_constituency_stacking_matches_control_set(rng):
         net = random_network(rng)
         H = int(rng.integers(1, 4))
         q0 = rng.integers(3, 8, size=net.n_q)   # loose positiveness
-        A, b, fams = build_constraints(net, q0, tuple([Fraction(0)] * net.n_q), H)
-        keep = [i for i, f in enumerate(fams) if f == "constituency"]
-        Ac, bc = A[keep], [b[i] for i in keep]
+        A, b = build_constraints(net, q0, tuple([Fraction(0)] * net.n_q), H)
+        n_c, _ = _row_families(net, H)
+        Ac, bc = A[:n_c], b[:n_c]
         V = {tuple(v) for v in enumerate_control_set(net).tolist()}
         for _ in range(30):
             x = rng.integers(0, 2, size=H * net.n_v)
@@ -134,7 +136,9 @@ def test_positiveness_soundness(rng):
         H = int(rng.integers(1, 4))
         q0 = rng.integers(0, 4, size=net.n_q)
         rate = random_arrivals(rng, net.n_q).rate
-        A, b, _ = build_constraints(net, q0, rate, H, source_gates=False)
+        A, b = build_constraints(net, q0, rate, H)
+        n_c, n_pos = _row_families(net, H)
+        A, b = A[:n_c + n_pos], b[:n_c + n_pos]    # without the source gates
         for _ in range(20):
             x = rng.integers(0, 2, size=H * net.n_v)
             if not _feasible(A, b, x):

@@ -37,7 +37,7 @@ def test_example1_schedule():
     # deterministic shift chain with an absorbing tail state
     P = sc.chain.P
     assert P[3, 4] == 1.0 and P[9, 9] == 1.0
-    assert sc.chain.deterministic
+    assert set(np.unique(P)) == {0.0, 1.0}
 
 
 def test_example1_constituency():
@@ -139,7 +139,21 @@ def test_scenario_validation_paths():
             ("chain.P", "chain", {"P": [["x"]], "s0": 0}),
             ("chain.s0", "chain", {"P": [[1.0]], "s0": "x"}),
             ("chain", "chain", [[1.0]]),
-            ("policies", "policies", 5)):
+            ("policies", "policies", 5),
+            # integer fields take integral numbers only, never cast to one
+            ("q0[0]", "q0", [1.5, 2.7]),
+            ("q0[0]", "q0", [True, 2]),
+            ("network.R[1][2]", "network", dict(net, R=[[-1, 0, -1], [0, 1, -1.5]])),
+            ("network.c[0]", "network", dict(net, c=[1.9])),
+            ("network.a_hat[0]", "network", dict(net, a_hat=[True, 1])),
+            ("arrivals.batch[0]", "arrivals", {"kind": "iid-bernoulli-batch",
+                                               "p": ["1/2", "0"], "batch": [1.5, 1]}),
+            ("chain.s0", "chain", {"P": [[1.0]], "s0": 0.9}),
+            ("chain.s0", "chain", {"P": [[1.0]], "s0": True}),
+            ("chain.sigma0", "chain", {"P": [[1.0]], "sigma0": [float("nan")]}),
+            ("chain.sigma0", "chain", {"P": [[1.0]], "sigma0": ["x"]}),
+            ("region_scale", "region_scale", -2),
+            ("region_scale", "region_scale", 0)):
         with pytest.raises(ValidationError) as info:
             validate_scenario(dict(sc, **{block: value}))
         assert info.value.path == path
