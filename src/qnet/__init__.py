@@ -15,8 +15,7 @@ from .harness import ExperimentResult, RunResult, region_rows, run_experiment
 from .markov import MarkovChain, propagate, sample_next, stationary, validate_chain
 from .model import (ArrivalProcess, Network, enumerate_control_set,
                     negative_part, validate_arrivals, validate_network)
-from .optim import (Bip, BipSolution, LpProblem, LpSolution, solve_bip,
-                    solve_bip_exhaustive, solve_lp)
+from .optim import Bip, BipSolution, LpProblem, LpSolution, solve_bip, solve_lp
 from .policies import (FpncPolicy, IdlePolicy, MwPolicy, PncPolicy, PolicySpec,
                        RandomPolicy, make_policy)
 from .predictor import (build_bip, build_constraints, build_objective,

@@ -94,15 +94,7 @@ def main(argv=None) -> int:
                 scenario.replications = args.replications
             policies = None
             if args.policy is not None:
-                kind = args.policy.upper()
-                if kind in ("PNC", "FPNC"):
-                    if args.horizon is None:
-                        raise ValidationError("--policy", f"{kind} needs --horizon")
-                    policies = [PolicySpec(kind, args.horizon)]
-                else:
-                    if args.horizon is not None:
-                        raise ValidationError("--horizon", f"not applicable to {kind}")
-                    policies = [PolicySpec(kind)]
+                policies = [PolicySpec(args.policy.upper(), args.horizon)]
             result = run_experiment(scenario, out_dir=_out_dir(args), policies=policies)
             for path in result.files:
                 print(path)

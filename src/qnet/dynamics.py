@@ -143,14 +143,16 @@ def run(net: Network, chain: MarkovChain, arrivals: ArrivalProcess, policy,
         slots: int, streams: RngStreams, q0=None) -> Trace:
     """Drive the network for `slots` slots under `policy`.
 
-    The policy is consulted once per slot with (q_t, s_t).  An infeasible
+    The start state is `chain.s0`, or else drawn from `chain.sigma0`.  The
+    policy is consulted once per slot with (q_t, s_t).  An infeasible
     policy decision aborts the run with the diagnostic attached.  Identical
     inputs, streams seeded alike, reproduce the trace bit for bit.
     """
     q = np.zeros(net.n_q, dtype=np.int64) if q0 is None else np.asarray(q0, dtype=np.int64).copy()
     if (q < 0).any():
         raise ValueError("initial queue state must be nonnegative")
-    s = chain.s0 if chain.s0 is not None else int(np.argmax(chain.sigma0))
+    # a sigma0 start state takes one chain-stream uniform; a fixed s0 takes none
+    s = chain.s0 if chain.s0 is not None else sample_next(0, chain.sigma0[None, :], streams.chain)
     state = SimState(0, q, s)
     trace = Trace()
     # one-slot change bounds; summing them gives the window bounds

@@ -112,6 +112,6 @@ def stationary(P: np.ndarray) -> np.ndarray:
 
 
 def sample_next(s: int, P: np.ndarray, rng) -> int:
-    """Draw the successor of state s, consuming exactly one uniform."""
+    """Draw a state from row s of P, consuming exactly one uniform."""
     u = rng.random()
-    return int(np.searchsorted(np.cumsum(P[s]), u, side="right").clip(max=P.shape[0] - 1))
+    return int(np.searchsorted(np.cumsum(P[s]), u, side="right").clip(max=P.shape[1] - 1))

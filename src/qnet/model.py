@@ -172,23 +172,30 @@ def validate_network(raw: dict) -> Network:
     )
 
 
-def enumerate_control_set(net: Network) -> np.ndarray:
-    """All binary controls v with C v <= c, lexicographically sorted.
-
-    Returns an array of shape (num_controls, n_v).
-    """
+def _control_chunks(net: Network):
+    """The binary controls v with C v <= c, lexicographically sorted, in chunks."""
     n = net.n_v
     if n > MAX_ENUMERABLE_LINKS:
         raise EnumerationLimitError(f"cannot enumerate 2^{n} control vectors (limit 2^{MAX_ENUMERABLE_LINKS})")
-    out = []
     chunk = 1 << 16
     shifts = np.arange(n - 1, -1, -1, dtype=np.uint32)  # v_0 is the most significant bit
     for start in range(0, 1 << n, chunk):
         ks = np.arange(start, min(start + chunk, 1 << n), dtype=np.uint32)
         cand = ((ks[:, None] >> shifts[None, :]) & 1).astype(np.int64)
-        ok = (cand @ net.C.T <= net.c).all(axis=1)
-        out.append(cand[ok])
-    return np.concatenate(out, axis=0)
+        yield cand[(cand @ net.C.T <= net.c).all(axis=1)]
+
+
+def enumerate_control_set(net: Network) -> np.ndarray:
+    """All binary controls v with C v <= c, lexicographically sorted.
+
+    Returns an array of shape (num_controls, n_v).
+    """
+    return np.concatenate(list(_control_chunks(net)), axis=0)
+
+
+def count_controls(net: Network) -> int:
+    """|V|, the number of binary controls with C v <= c, one chunk in memory at a time."""
+    return sum(map(len, _control_chunks(net)))
 
 
 # ---------------------------------------------------------------------------
@@ -259,11 +266,15 @@ class ArrivalProcess:
 
 
 def _as_fraction(x, path: str) -> Fraction:
+    if isinstance(x, (bool, np.bool_)):
+        raise ValidationError(path, f"expected an exact rate, got {x!r}")
+    if isinstance(x, (list, tuple)) and len(x) == 2:
+        x = tuple(int(v) for v in _as_array(x, path))   # integral entries: [1.5, 2] fails at [0]
     try:
         if isinstance(x, str):
             return Fraction(x)
-        if isinstance(x, (list, tuple)) and len(x) == 2:
-            return Fraction(int(x[0]), int(x[1]))
+        if isinstance(x, tuple):
+            return Fraction(*x)
         if isinstance(x, int):
             return Fraction(x)
         if isinstance(x, float):

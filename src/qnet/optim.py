@@ -272,7 +272,7 @@ class Bip:
 class BipSolution:
     x: np.ndarray | None
     value: float | None
-    status: str          # optimal | infeasible | budget-exhausted
+    status: str          # optimal | infeasible
     nodes: int = 0
 
 
@@ -313,7 +313,7 @@ def _improve(rows: np.ndarray, vals: np.ndarray, best_val: float):
     return best, best_val
 
 
-def solve_bip(bip: Bip, node_budget: int | None = None) -> BipSolution:
+def solve_bip(bip: Bip) -> BipSolution:
     """Branch and bound over whole slot controls, in lexicographic order.
 
     Rows of A inside block t filter its 2^n_v binary controls to V_t, and
@@ -327,8 +327,7 @@ def solve_bip(bip: Bip, node_budget: int | None = None) -> BipSolution:
     when its lhs plus each coupling row's least remaining part exceeds b
     (exactly, on integers).  Replacing only on a gain over 1e-9 returns the
     lexicographically smallest optimum, as `solve_bip_exhaustive` does.
-    `nodes` (prefixes visited plus trajectories scored) is capped by
-    `node_budget`.
+    `nodes` counts the prefixes visited plus the trajectories scored.
     """
     H, n_v, Q = bip.H, bip.n_v, bip.Q
     if n_v > 24:
@@ -373,8 +372,6 @@ def solve_bip(bip: Bip, node_budget: int | None = None) -> BipSolution:
         bound = min_lin[t] if Q is None else sum(c.min() for c in cond) + min_pair[t]
         pruned = head + bound >= best_val - OPT_TOL or ((acc + min_lhs[t]) * den > num).any()
         nodes += 1 if pruned or t < k else 1 + len(grid)
-        if node_budget is not None and nodes > node_budget:
-            break
         if pruned:
             continue
         if t < k:
@@ -394,11 +391,9 @@ def solve_bip(bip: Bip, node_budget: int | None = None) -> BipSolution:
         if row is not None:
             best = path + list(grid[row])
 
-    x = None if best is None else np.concatenate([v[i] for v, i in zip(V, best)])
-    if node_budget is not None and nodes > node_budget:
-        return BipSolution(x, best_val if x is not None else None, "budget-exhausted", nodes)
-    if x is None:
+    if best is None:
         return BipSolution(None, None, "infeasible", nodes)
+    x = np.concatenate([v[i] for v, i in zip(V, best)])
     return BipSolution(x, bip.value(x), "optimal", nodes)
 
 

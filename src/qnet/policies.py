@@ -14,8 +14,9 @@ import numpy as np
 
 from .dynamics import check_feasible
 from .errors import ValidationError
-from .model import Network, enumerate_control_set
-from .optim import solve_bip, solve_bip_exhaustive
+from .model import Network, count_controls, enumerate_control_set
+# the enumeration oracle is never called here; tracers patch and count it in this module
+from .optim import solve_bip, solve_bip_exhaustive  # noqa: F401
 from .predictor import build_bip
 
 POLICY_KINDS = ("MW", "PNC", "FPNC", "IDLE", "RANDOM")
@@ -23,6 +24,10 @@ PREDICTIVE_KINDS = ("PNC", "FPNC")
 # linear: the surrogate; quadratic: the exact expected sum of squares.
 # Both are solved by the same branch and bound.
 OBJECTIVES = ("linear", "quadratic")
+# A horizon-H program searches |V|^H trajectories, V being the controls with
+# C v <= c.  At most 2^24 are allowed (quadratic PNC-H6 on example1 searches
+# 16^6), and H is at most 24, the bound for two controls per slot.
+MAX_TRAJECTORY_BITS = 24
 
 
 def _positive_int(x) -> bool:
@@ -33,7 +38,6 @@ def _positive_int(x) -> bool:
 class PolicySpec:
     kind: str
     horizon: int | None = None
-    node_budget: int | None = None
     objective: str = "linear"
 
     def __post_init__(self):
@@ -43,14 +47,29 @@ class PolicySpec:
             if not _positive_int(self.horizon):
                 raise ValidationError("policy.H", "predictive policies need an integer "
                                                   f"horizon >= 1, got {self.horizon!r}")
-        if self.node_budget is not None and not _positive_int(self.node_budget):
-            raise ValidationError("policy.node_budget", "expected a positive integer or null, "
-                                                        f"got {self.node_budget!r}")
+            if self.horizon > MAX_TRAJECTORY_BITS:
+                raise ValidationError("policy.H", f"horizon {self.horizon} exceeds "
+                                                  f"{MAX_TRAJECTORY_BITS}: two controls per slot "
+                                                  f"would give over 2^{MAX_TRAJECTORY_BITS} "
+                                                  "trajectories")
+        elif self.horizon is not None:
+            raise ValidationError("policy.H", f"{self.kind} takes no horizon")
         if self.objective not in OBJECTIVES:
             raise ValidationError("policy.objective", f"unknown objective {self.objective!r}; "
                                                       f"expected one of {', '.join(OBJECTIVES)}")
         if self.objective != "linear" and self.kind not in PREDICTIVE_KINDS:
             raise ValidationError("policy.objective", f"{self.kind} takes no objective")
+
+    def check_size(self, net: Network) -> None:
+        """Reject a horizon whose program has over 2^24 trajectories on `net`;
+        called before any program is built."""
+        H = self.horizon
+        if H is not None and net.n_v * H > MAX_TRAJECTORY_BITS:   # else 2^(n_v H) fits
+            n = count_controls(net)
+            if n ** H > 1 << MAX_TRAJECTORY_BITS:
+                raise ValidationError("policy.H", f"horizon {H} gives {n}^{H} trajectories over "
+                                                  f"the {n} controls with C v <= c, more than "
+                                                  f"2^{MAX_TRAJECTORY_BITS}")
 
     @property
     def name(self) -> str:
@@ -63,8 +82,6 @@ class PolicySpec:
         out = {"kind": self.kind}
         if self.horizon is not None:
             out["H"] = self.horizon
-        if self.node_budget is not None:
-            out["node_budget"] = self.node_budget
         if self.objective != "linear":
             out["objective"] = self.objective
         return out
@@ -80,22 +97,7 @@ class PolicySpec:
         if "objective" in raw and kind not in PREDICTIVE_KINDS:
             raise ValidationError("policy.objective", f"{kind} takes no objective")
         return PolicySpec(kind=kind, horizon=raw.get("H"),
-                          node_budget=raw.get("node_budget"),
                           objective=raw.get("objective", "linear"))
-
-
-def _solve_trajectory(net, chain, arrivals, q0, s0, H, node_budget, objective="linear"):
-    bip = build_bip(net, chain, arrivals, q0, s0, H, objective)
-    sol = solve_bip(bip, node_budget=node_budget)
-    if sol.status == "budget-exhausted":
-        if bip.n <= 20:
-            sol = solve_bip_exhaustive(bip)
-        else:
-            raise RuntimeError(f"solver node budget exhausted on a {bip.n}-variable "
-                               "program too large to enumerate")
-    if sol.status != "optimal":
-        raise RuntimeError(f"trajectory program unexpectedly {sol.status}")
-    return sol.x.reshape(H, net.n_v).astype(np.int64)
 
 
 class PncPolicy:
@@ -106,10 +108,9 @@ class PncPolicy:
     the same control objects.
     """
 
-    def __init__(self, net, chain, arrivals, H: int, node_budget=None, objective="linear"):
+    def __init__(self, net, chain, arrivals, H: int, objective="linear"):
         self.net, self.chain, self.arrivals = net, chain, arrivals
         self.H = H
-        self.node_budget = node_budget
         self.objective = objective
         self.n_solves = 0
         self._memo: dict = {}
@@ -118,8 +119,11 @@ class PncPolicy:
         key = (tuple(int(x) for x in q), int(s))
         traj = self._memo.get(key)
         if traj is None:
-            traj = tuple(_solve_trajectory(self.net, self.chain, self.arrivals, q, s,
-                                           self.H, self.node_budget, self.objective))
+            sol = solve_bip(build_bip(self.net, self.chain, self.arrivals, q, s, self.H,
+                                      self.objective))
+            if sol.status != "optimal":
+                raise RuntimeError(f"trajectory program unexpectedly {sol.status}")
+            traj = tuple(sol.x.reshape(self.H, self.net.n_v).astype(np.int64))
             self._memo[key] = traj
         return traj
 
@@ -131,8 +135,8 @@ class PncPolicy:
 class MwPolicy(PncPolicy):
     """Max-weight scheduling: the horizon-1 case of the predictive policy."""
 
-    def __init__(self, net, chain, arrivals, node_budget=None):
-        super().__init__(net, chain, arrivals, H=1, node_budget=node_budget)
+    def __init__(self, net, chain, arrivals):
+        super().__init__(net, chain, arrivals, H=1)
 
 
 def repair_control(net: Network, q, v) -> np.ndarray:
@@ -159,8 +163,8 @@ class FpncPolicy(PncPolicy):
     re-optimizing; infeasible pending blocks are repaired by dropping the
     violating links."""
 
-    def __init__(self, net, chain, arrivals, H: int, node_budget=None, objective="linear"):
-        super().__init__(net, chain, arrivals, H, node_budget, objective)
+    def __init__(self, net, chain, arrivals, H: int, objective="linear"):
+        super().__init__(net, chain, arrivals, H, objective)
         self._pending: list[np.ndarray] = []
 
     def decide(self, q, s) -> np.ndarray:
@@ -195,14 +199,13 @@ class RandomPolicy:
 
 
 def make_policy(spec: PolicySpec, net, chain, arrivals, policy_rng=None):
+    spec.check_size(net)
     if spec.kind == "MW":
-        return MwPolicy(net, chain, arrivals, node_budget=spec.node_budget)
+        return MwPolicy(net, chain, arrivals)
     if spec.kind == "PNC":
-        return PncPolicy(net, chain, arrivals, spec.horizon, node_budget=spec.node_budget,
-                         objective=spec.objective)
+        return PncPolicy(net, chain, arrivals, spec.horizon, objective=spec.objective)
     if spec.kind == "FPNC":
-        return FpncPolicy(net, chain, arrivals, spec.horizon, node_budget=spec.node_budget,
-                          objective=spec.objective)
+        return FpncPolicy(net, chain, arrivals, spec.horizon, objective=spec.objective)
     if spec.kind == "IDLE":
         return IdlePolicy(net)
     if spec.kind == "RANDOM":

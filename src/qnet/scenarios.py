@@ -84,6 +84,8 @@ def validate_scenario(raw: dict) -> Scenario:
     if not isinstance(pol_raw, list) or not pol_raw:
         raise ValidationError("policies", f"expected a nonempty list of policies, got {pol_raw!r}")
     policies = [PolicySpec.from_json(p) for p in pol_raw]
+    for spec in policies:
+        spec.check_size(net)
     slots = raw.get("slots")
     if not isinstance(slots, int) or isinstance(slots, bool) or slots < 1:
         raise ValidationError("slots", f"expected a positive slot count, got {slots!r}")

@@ -181,3 +181,19 @@ def test_paired_streams_across_policies():
     for r1, r2 in zip(t_idle.records, t_rand.records):
         assert np.array_equal(r1.a, r2.a)
         assert r1.s == r2.s
+
+
+def test_sigma0_start_state_is_drawn():
+    # the chain never leaves its start state, which the first record shows
+    net = validate_network({"R": [[-1, 0], [1, -1]], "C": [[0, 0]], "c": [1],
+                            "W": [[1.0, 1.0], [1.0, 1.0]]})
+
+    def start(sigma0, seed):
+        chain = validate_chain({"P": [[1.0, 0.0], [0.0, 1.0]], "sigma0": sigma0})
+        trace = run(net, chain, zero_arrivals(2), IdlePolicy(net), 1, make_streams(seed))
+        return trace.records[0].s
+
+    assert {start([0.0, 1.0], seed) for seed in range(50)} == {1}
+    # state 1 has probability 3/4: over 400 seeds its count is 300 with sd 8.7
+    ones = sum(start([0.25, 0.75], seed) for seed in range(400))
+    assert abs(ones - 300) <= 5 * np.sqrt(400 * 0.25 * 0.75)

@@ -140,7 +140,7 @@ SMALL_RED = scenario_example2("red", slots=20, replications=1).to_json()
     ("slots", "slots", True),
     ("replications", "replications", True),
     ("seed", "seed", True),
-    ("policy.node_budget", "policies", [{"kind": "PNC", "H": 2, "node_budget": "5"}]),
+    ("policy.H", "policies", [{"kind": "MW", "H": 3}]),
     ("network.c", "network", dict(SMALL_RED["network"], c=["x"])),
     ("arrivals.p", "arrivals", {"kind": "iid-bernoulli-batch", "p": 5}),
     ("q0", "q0", ["x", 1]),
@@ -161,6 +161,10 @@ SMALL_RED = scenario_example2("red", slots=20, replications=1).to_json()
     ("chain.sigma0", "chain", {"P": [[1.0]], "sigma0": ["x"]}),
     ("region_scale", "region_scale", -2),
     ("region_scale", "region_scale", 0),
+    ("arrivals.p[0]", "arrivals", {"kind": "iid-bernoulli-batch", "p": [True, "0"]}),
+    ("arrivals.p[1][0]", "arrivals", {"kind": "iid-bernoulli-batch", "p": ["1/2", [1.5, 2]]}),
+    ("policy.H", "policies", [{"kind": "PNC", "H": 1000000}]),
+    ("policy.H", "policies", [{"kind": "PNC", "H": 13}]),
 ])
 def test_cli_malformed_fields_exit_2(tmp_path, capsys, path, field, value):
     # field None replaces the whole document
@@ -202,9 +206,21 @@ def test_cli_run_env_out_dir(tmp_path, capsys, monkeypatch):
 
 def test_cli_conflicting_flags(capsys):
     assert main(["run", "example2", "--horizon", "2"]) == 2
+    assert "--horizon:" in capsys.readouterr().err
     assert main(["run", "example2", "--policy", "PNC", "--slots", "10"]) == 2
+    assert "policy.H:" in capsys.readouterr().err
     assert main(["run", "example2", "--policy", "MW", "--horizon", "3",
                  "--slots", "10"]) == 2
+    assert "policy.H:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("horizon", ["13", "1000000"])
+def test_cli_run_rejects_oversized_horizon(tmp_path, capsys, horizon):
+    # example2 has 4 controls per slot: H = 13 searches 4^13 > 2^24 trajectories
+    assert main(["run", "example2", "--policy", "PNC", "--horizon", horizon,
+                 "--slots", "10", "--out", str(tmp_path)]) == 2
+    assert "policy.H:" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
 
 
 def test_cli_region(tmp_path, capsys):

@@ -158,6 +158,8 @@ def test_bernoulli_batch_arrivals():
     ap = validate_arrivals({"kind": "iid-bernoulli-batch", "p": ["0.45", "1/4"],
                             "batch": [1, 2]}, 2)
     assert ap.rate == (Fraction(9, 20), Fraction(1, 2))
+    pair = validate_arrivals({"kind": "iid-bernoulli-batch", "p": [[9, 20], 0]}, 2)
+    assert pair.p == (Fraction(9, 20), Fraction(0))
     rng = np.random.default_rng(3)
     draws = np.array([ap.sample(t, rng) for t in range(4000)])
     assert (draws <= ap.a_hat).all()

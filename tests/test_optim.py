@@ -132,13 +132,6 @@ def test_bip_deterministic_and_node_capped(rng):
         assert s1.nodes <= 2 ** (bip.n + 1)
 
 
-def test_budget_exhaustion_reported():
-    rng = np.random.default_rng(5)
-    bip = _random_bip(rng, n=12)
-    sol = solve_bip(bip, node_budget=3)
-    assert sol.status == "budget-exhausted"
-
-
 def test_exhaustive_guard():
     bip = Bip(n=21, n_v=21, H=1, cost=np.zeros(21), A=np.zeros((0, 21), dtype=np.int64), b=[])
     with pytest.raises(EnumerationLimitError):

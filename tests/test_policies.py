@@ -169,22 +169,6 @@ def test_decisions_deterministic():
         assert np.array_equal(a.decide(q, 0), b.decide(q, 0))
 
 
-def test_budget_exhaustion_falls_back_to_enumeration(rng):
-    # the quadratic fallback must score u'Qu too: in example1's state 2 at
-    # q0 = [1, 0, 0, 0] the linear part alone picks another first control
-    # (test_quadratic_objective_plans_handover)
-    red, ex1 = scenario_example2("red"), scenario_example1()
-    cases = [(red, q0, 0, 2, "linear") for q0 in ([4, 0], [4, 1], [9, 3])]
-    cases += [(ex1, [1, 0, 0, 0], 2, 2, "quadratic"), (ex1, [1, 1, 0, 1], 0, 2, "quadratic"),
-              (red, [4, 1], 0, 3, "quadratic"), (scenario_example2("green"), [9, 3], 0, 2,
-                                                 "quadratic")]
-    for sc, q0, s0, H, objective in cases:
-        tight = first_control(sc.net, sc.chain, sc.arrivals, q0, s0, H, node_budget=1,
-                              objective=objective)
-        free = first_control(sc.net, sc.chain, sc.arrivals, q0, s0, H, objective=objective)
-        assert np.array_equal(tight, free), (sc.name, q0, objective)
-
-
 def test_policy_spec_validation():
     with pytest.raises(Exception):
         PolicySpec("PNC")          # missing horizon
@@ -193,14 +177,15 @@ def test_policy_spec_validation():
     for raw, path in (({"kind": "PNC", "H": "2"}, "policy.H"),
                       ({"kind": "FPNC", "H": True}, "policy.H"),
                       (["PNC", 2], "policy"),
-                      ({"kind": "PNC", "H": 2, "node_budget": "5"}, "policy.node_budget"),
-                      ({"kind": "PNC", "H": 2, "node_budget": 0}, "policy.node_budget"),
-                      ({"kind": "MW", "node_budget": True}, "policy.node_budget")):
+                      ({"kind": "MW", "H": 3}, "policy.H"),
+                      ({"kind": "IDLE", "H": 1}, "policy.H"),
+                      ({"kind": "RANDOM", "H": 2}, "policy.H"),
+                      ({"kind": "PNC", "H": 1000000}, "policy.H"),
+                      ({"kind": "FPNC", "H": 25}, "policy.H")):
         with pytest.raises(ValidationError) as info:
             PolicySpec.from_json(raw)
         assert info.value.path == path
     assert PolicySpec("PNC", np.int64(3)).name == "PNC-H3"
-    assert PolicySpec("FPNC", 2, node_budget=np.int64(50)).node_budget == 50
     assert PolicySpec("FPNC", 3).name == "FPNC-H3"
     assert PolicySpec("MW").name == "MW"
     rt = PolicySpec.from_json({"kind": "pnc", "H": 4})
@@ -219,9 +204,23 @@ def test_policy_spec_validation():
     quad = PolicySpec.from_json({"kind": "PNC", "H": 5, "objective": "quadratic"})
     assert quad.name == "PNC-H5-quadratic"
     assert PolicySpec.from_json(quad.to_json()) == quad
-    budgeted = PolicySpec.from_json({"kind": "PNC", "H": 2, "node_budget": 50})
-    assert budgeted.to_json() == {"kind": "PNC", "H": 2, "node_budget": 50}
-    assert PolicySpec.from_json(budgeted.to_json()) == budgeted
+    # a key the policy does not define is ignored, like any unknown key
+    assert PolicySpec.from_json({"kind": "PNC", "H": 2, "node_budget": 50}) == PolicySpec("PNC", 2)
+
+
+def test_horizon_limit_counts_trajectories():
+    # |V|^H may reach 2^24: example1 has 16 controls per slot, example2 has 4
+    ex1, red = scenario_example1().net, scenario_example2("red").net
+    for net, H, ok in ((ex1, 6, True), (ex1, 7, False), (red, 12, True), (red, 13, False)):
+        for spec in (PolicySpec("PNC", H, objective="quadratic"), PolicySpec("FPNC", H)):
+            if ok:
+                spec.check_size(net)
+                continue
+            with pytest.raises(ValidationError) as info:
+                make_policy(spec, net, None, None)
+            assert info.value.path == "policy.H"
+    PolicySpec("MW").check_size(ex1)
+    assert PolicySpec("PNC", 24).horizon == 24
 
 
 def test_quadratic_objective_plans_handover():

@@ -153,7 +153,15 @@ def test_scenario_validation_paths():
             ("chain.sigma0", "chain", {"P": [[1.0]], "sigma0": [float("nan")]}),
             ("chain.sigma0", "chain", {"P": [[1.0]], "sigma0": ["x"]}),
             ("region_scale", "region_scale", -2),
-            ("region_scale", "region_scale", 0)):
+            ("region_scale", "region_scale", 0),
+            ("arrivals.p[0]", "arrivals", {"kind": "iid-bernoulli-batch", "p": [True, "0"]}),
+            ("arrivals.p[1][0]", "arrivals", {"kind": "iid-bernoulli-batch",
+                                              "p": ["1/2", [1.5, 2]]}),
+            # a horizon only on predictive policies, and within the size limit:
+            # example2 has 4 controls per slot, and 4^13 > 2^24
+            ("policy.H", "policies", [{"kind": "MW", "H": 3}]),
+            ("policy.H", "policies", [{"kind": "PNC", "H": 1000000}]),
+            ("policy.H", "policies", [{"kind": "FPNC", "H": 13}])):
         with pytest.raises(ValidationError) as info:
             validate_scenario(dict(sc, **{block: value}))
         assert info.value.path == path
