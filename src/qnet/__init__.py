@@ -14,7 +14,7 @@ from .errors import (EnumerationLimitError, PolicyContractError,
 from .harness import ExperimentResult, RunResult, region_rows, run_experiment
 from .markov import MarkovChain, propagate, sample_next, stationary, validate_chain
 from .model import (ArrivalProcess, Network, enumerate_control_set,
-                    negative_part, validate_arrivals, validate_network)
+                    validate_arrivals, validate_network)
 from .optim import Bip, BipSolution, LpProblem, LpSolution, solve_bip, solve_lp
 from .policies import (FpncPolicy, IdlePolicy, MwPolicy, PncPolicy, PolicySpec,
                        RandomPolicy, make_policy)
@@ -23,8 +23,8 @@ from .predictor import (build_bip, build_constraints, build_objective,
                         quadratic_objective_oracle)
 from .scenarios import (Scenario, builtin_scenario, load_scenario,
                         scenario_example1, scenario_example2, validate_scenario)
-from .stability import (RegionQuery, RegionResult, StabilityThresholds,
-                        StabilityVerdict, assess_stability,
-                        mw_accessible_options, region_membership, region_slice)
+from .stability import (RegionQuery, RegionResult, StabilityVerdict,
+                        assess_stability, mw_accessible_options,
+                        region_membership, region_slice)
 
 __version__ = "0.1.0"

@@ -11,7 +11,7 @@ import os
 import sys
 
 from .errors import ValidationError
-from .harness import run_experiment, write_region_csv
+from .harness import DEFAULT_RAY_COUNT, run_experiment, write_region_csv
 from .policies import PolicySpec
 from .scenarios import BUILTIN_BUILDERS, builtin_scenario, load_scenario
 
@@ -42,14 +42,12 @@ def _build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--policy", default=None, help="run only this policy kind")
     p_run.add_argument("--horizon", type=int, default=None)
     p_run.add_argument("--out", default=None)
-    p_run.add_argument("--format", default="csv", choices=["csv"])
 
     p_region = sub.add_parser("region", help="emit the stability-region boundary CSV")
     p_region.add_argument("scenario")
     p_region.add_argument("--policy-set", default="full", choices=["full", "mw"])
-    p_region.add_argument("--rays", type=int, default=13)
+    p_region.add_argument("--rays", type=int, default=DEFAULT_RAY_COUNT)
     p_region.add_argument("--out", default=None)
-    p_region.add_argument("--format", default="csv", choices=["csv"])
 
     p_val = sub.add_parser("validate", help="validate a scenario description")
     p_val.add_argument("scenario")

@@ -12,7 +12,7 @@ from .dynamics import Trace, make_streams, run, trace_to_csv
 from .errors import PolicyContractError
 from .policies import PolicySpec, make_policy
 from .scenarios import Scenario
-from .stability import (RegionQuery, StabilityThresholds, assess_stability,
+from .stability import (MIN_ASSESS_SLOTS, RegionQuery, assess_stability,
                         mw_accessible_options, region_rows_to_csv, region_slice)
 
 SUMMARY_HEADER = ("scenario,policy,replication,seed,slots,arrivals,delivered,"
@@ -62,11 +62,10 @@ def run_one(scenario: Scenario, spec: PolicySpec, replication: int) -> RunResult
                     scenario.slots, streams, q0=scenario.q0)
     except PolicyContractError as exc:
         return RunResult(spec.name, replication, None, "aborted", 0.0, error=str(exc))
-    window = max(2, scenario.slots // 2)
-    if scenario.slots >= 2 * window:
-        verdict = assess_stability(trace, window=window, thresholds=StabilityThresholds())
-        return RunResult(spec.name, replication, trace, verdict.classification, verdict.slope)
-    return RunResult(spec.name, replication, trace, "inconclusive", 0.0)
+    if trace.slots < MIN_ASSESS_SLOTS:
+        return RunResult(spec.name, replication, trace, "inconclusive", 0.0)
+    verdict = assess_stability(trace)
+    return RunResult(spec.name, replication, trace, verdict.classification, verdict.slope)
 
 
 def run_experiment(scenario: Scenario, out_dir: str | None = None,

@@ -15,18 +15,8 @@ from numbers import Real
 
 import numpy as np
 
-from .errors import EnumerationLimitError, ValidationError
-
-MAX_ENUMERABLE_LINKS = 24
-
-
-def negative_part(R: np.ndarray) -> np.ndarray:
-    """Return R with its positive entries replaced by zero."""
-    R = np.asarray(R, dtype=np.int64)
-    if R.size and not np.isin(R, (-1, 0, 1)).all():
-        bad = np.argwhere(~np.isin(R, (-1, 0, 1)))[0]
-        raise ValidationError(f"R[{bad[0]}][{bad[1]}]", "routing entries must be in {-1, 0, +1}")
-    return np.minimum(R, 0)
+from .errors import ValidationError
+from .optim import binary_chunks
 
 
 @dataclass(frozen=True)
@@ -141,7 +131,7 @@ def validate_network(raw: dict) -> Network:
         raise ValidationError(f"network.W[{s}][{j}]", f"probability {W[s, j]} outside [0, 1]")
     n_s = W.shape[0]
 
-    R_minus = negative_part(R)
+    R_minus = np.minimum(R, 0)
     S_req = (R_minus < 0).astype(np.int64)
     if raw.get("S_req") is not None:
         extra = _as_int_matrix(raw["S_req"], "network.S_req")
@@ -174,14 +164,8 @@ def validate_network(raw: dict) -> Network:
 
 def _control_chunks(net: Network):
     """The binary controls v with C v <= c, lexicographically sorted, in chunks."""
-    n = net.n_v
-    if n > MAX_ENUMERABLE_LINKS:
-        raise EnumerationLimitError(f"cannot enumerate 2^{n} control vectors (limit 2^{MAX_ENUMERABLE_LINKS})")
-    chunk = 1 << 16
-    shifts = np.arange(n - 1, -1, -1, dtype=np.uint32)  # v_0 is the most significant bit
-    for start in range(0, 1 << n, chunk):
-        ks = np.arange(start, min(start + chunk, 1 << n), dtype=np.uint32)
-        cand = ((ks[:, None] >> shifts[None, :]) & 1).astype(np.int64)
+    for cand in binary_chunks(net.n_v, 1 << 16):
+        cand = cand.astype(np.int64)
         yield cand[(cand @ net.C.T <= net.c).all(axis=1)]
 
 

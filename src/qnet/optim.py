@@ -258,8 +258,8 @@ class Bip:
 
     def rhs_scaled(self) -> tuple[np.ndarray, np.ndarray]:
         """(numerators, denominators) of b for exact integer comparisons."""
-        num = np.array([Fraction(x).numerator for x in self.b], dtype=np.int64)
-        den = np.array([Fraction(x).denominator for x in self.b], dtype=np.int64)
+        num, den = np.array([Fraction(x).as_integer_ratio() for x in self.b],
+                            np.int64).reshape(-1, 2).T
         return num, den
 
     def value(self, x: np.ndarray) -> float:
@@ -276,10 +276,21 @@ class BipSolution:
     nodes: int = 0
 
 
+MAX_BINARY_BITS = 24   # the longest binary vectors any enumeration lists: 2^24 of them
 SCAN_CHUNK = 1 << 10   # rows per array; a 2^12-row grid ran no faster and held 5x the memory
 
 
-def _block_tables(chunks, H: int, A: np.ndarray, b: list):
+def binary_chunks(n: int, size: int):
+    """All 2^n binary vectors of length n in lexicographic order (v_0 the most
+    significant bit), as int8 arrays of at most `size` rows."""
+    if n > MAX_BINARY_BITS:
+        raise EnumerationLimitError(f"cannot list 2^{n} binary vectors, limit 2^{MAX_BINARY_BITS}")
+    shifts = np.arange(n - 1, -1, -1)
+    for start in range(0, 1 << n, size):
+        yield (np.arange(start, min(start + size, 1 << n))[:, None] >> shifts & 1).astype(np.int8)
+
+
+def _block_tables(chunks, bip: Bip):
     """Per-block controls V[t] and coupling-row tables lhs[t] for A u <= b.
 
     `chunks` yields the candidate controls in lexicographic order; V[t] keeps,
@@ -287,8 +298,8 @@ def _block_tables(chunks, H: int, A: np.ndarray, b: list):
     nonzero go to block 0).  lhs[t] is each kept control's part of the rows
     coupling blocks: a trajectory is feasible iff den * sum_t lhs[t] <= num.
     """
-    num, den = np.array([Fraction(x).as_integer_ratio() for x in b], np.int64).reshape(-1, 2).T
-    n_v = A.shape[1] // H
+    H, n_v, A = bip.H, bip.n_v, bip.A
+    num, den = bip.rhs_scaled()
     support = (A != 0).reshape(len(A), H, n_v).any(axis=2)
     coupling = support.sum(axis=1) > 1
     local = [~coupling & (support.argmax(axis=1) == t) for t in range(H)]
@@ -330,12 +341,7 @@ def solve_bip(bip: Bip) -> BipSolution:
     `nodes` counts the prefixes visited plus the trajectories scored.
     """
     H, n_v, Q = bip.H, bip.n_v, bip.Q
-    if n_v > 24:
-        raise EnumerationLimitError(f"block search limited to 24 variables per block, got {n_v}")
-    shifts = np.arange(n_v - 1, -1, -1)
-    V, lhs, num, den = _block_tables(
-        ((np.arange(s, min(s + SCAN_CHUNK, 1 << n_v))[:, None] >> shifts & 1).astype(np.int8)
-         for s in range(0, 1 << n_v, SCAN_CHUNK)), H, bip.A, bip.b)
+    V, lhs, num, den = _block_tables(binary_chunks(n_v, SCAN_CHUNK), bip)
     if not all(map(len, V)):
         return BipSolution(None, None, "infeasible", nodes=1)
     lin = [v @ c for v, c in zip(V, bip.cost.reshape(H, n_v))]
@@ -405,14 +411,10 @@ def solve_bip_exhaustive(bip: Bip) -> BipSolution:
     if n == 0:
         return BipSolution(np.zeros(0, dtype=np.int8), 0.0, "optimal", nodes=1)
     num, den = bip.rhs_scaled()
-    shifts = np.arange(n - 1, -1, -1, dtype=np.uint32)
     best_x = None
     best_val = np.inf
-    total = 1 << n
-    chunk = 1 << 14
-    for start in range(0, total, chunk):
-        ks = np.arange(start, min(start + chunk, total), dtype=np.uint32)
-        cand = ((ks[:, None] >> shifts[None, :]) & 1).astype(np.int64)
+    for cand in binary_chunks(n, 1 << 14):
+        cand = cand.astype(np.int64)
         lhs = cand @ bip.A.T
         feas = (lhs * den <= num).all(axis=1)
         vals = cand @ bip.cost
@@ -424,5 +426,5 @@ def solve_bip_exhaustive(bip: Bip) -> BipSolution:
                 best_val = v
                 best_x = cand[idx].astype(np.int8)
     if best_x is None:
-        return BipSolution(None, None, "infeasible", nodes=total)
-    return BipSolution(best_x, bip.value(best_x), "optimal", nodes=total)
+        return BipSolution(None, None, "infeasible", nodes=1 << n)
+    return BipSolution(best_x, bip.value(best_x), "optimal", nodes=1 << n)

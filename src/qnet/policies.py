@@ -16,7 +16,7 @@ from .dynamics import check_feasible
 from .errors import ValidationError
 from .model import Network, count_controls, enumerate_control_set
 # the enumeration oracle is never called here; tracers patch and count it in this module
-from .optim import solve_bip, solve_bip_exhaustive  # noqa: F401
+from .optim import MAX_BINARY_BITS, solve_bip, solve_bip_exhaustive  # noqa: F401
 from .predictor import build_bip
 
 POLICY_KINDS = ("MW", "PNC", "FPNC", "IDLE", "RANDOM")
@@ -61,8 +61,12 @@ class PolicySpec:
             raise ValidationError("policy.objective", f"{self.kind} takes no objective")
 
     def check_size(self, net: Network) -> None:
-        """Reject a horizon whose program has over 2^24 trajectories on `net`;
-        called before any program is built."""
+        """Reject a network whose controls this policy cannot list, and a
+        horizon whose program has over 2^24 trajectories on `net`; called
+        before any program is built."""
+        if self.kind != "IDLE" and net.n_v > MAX_BINARY_BITS:
+            raise ValidationError("network.R", f"{self.kind} lists the binary controls of at most "
+                                               f"{MAX_BINARY_BITS} links, got {net.n_v}")
         H = self.horizon
         if H is not None and net.n_v * H > MAX_TRAJECTORY_BITS:   # else 2^(n_v H) fits
             n = count_controls(net)
@@ -112,7 +116,6 @@ class PncPolicy:
         self.net, self.chain, self.arrivals = net, chain, arrivals
         self.H = H
         self.objective = objective
-        self.n_solves = 0
         self._memo: dict = {}
 
     def _trajectory(self, q, s) -> tuple:
@@ -128,7 +131,6 @@ class PncPolicy:
         return traj
 
     def decide(self, q, s) -> np.ndarray:
-        self.n_solves += 1
         return self._trajectory(q, s)[0]
 
 
@@ -169,15 +171,13 @@ class FpncPolicy(PncPolicy):
 
     def decide(self, q, s) -> np.ndarray:
         if not self._pending:
-            self.n_solves += 1
             self._pending = list(self._trajectory(q, s))
         return repair_control(self.net, q, self._pending.pop(0))
 
 
 class IdlePolicy:
-    def __init__(self, net, *_args, **_kw):
+    def __init__(self, net):
         self.net = net
-        self.n_solves = 0
 
     def decide(self, q, s) -> np.ndarray:
         return np.zeros(self.net.n_v, dtype=np.int64)
@@ -189,7 +189,6 @@ class RandomPolicy:
     def __init__(self, net, rng):
         self.net = net
         self.rng = rng
-        self.n_solves = 0
         self._controls = enumerate_control_set(net)
 
     def decide(self, q, s) -> np.ndarray:

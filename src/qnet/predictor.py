@@ -37,13 +37,10 @@ from .optim import Bip
 ORACLE_MAX_VARS = 16
 
 
-def _state_distributions(chain: MarkovChain, init, H: int) -> list[np.ndarray]:
-    """Chain-state distributions sigma_0 .. sigma_{H-1}; one propagation per step."""
-    if np.isscalar(init):
-        sigma = np.zeros(chain.n_s)
-        sigma[int(init)] = 1.0
-    else:
-        sigma = np.asarray(init, dtype=np.float64)
+def _state_distributions(chain: MarkovChain, s: int, H: int) -> list[np.ndarray]:
+    """Chain-state distributions sigma_0 .. sigma_{H-1} from state s; one propagation per step."""
+    sigma = np.zeros(chain.n_s)
+    sigma[int(s)] = 1.0
     sigmas = []
     for _ in range(H):
         sigmas.append(sigma)
@@ -51,18 +48,18 @@ def _state_distributions(chain: MarkovChain, init, H: int) -> list[np.ndarray]:
     return sigmas
 
 
-def expected_weights_horizon(chain: MarkovChain, W: np.ndarray, init, H: int) -> np.ndarray:
+def expected_weights_horizon(chain: MarkovChain, W: np.ndarray, s: int, H: int) -> np.ndarray:
     """Stack What_0 .. What_{H-1} as rows."""
-    return np.array([sigma @ W for sigma in _state_distributions(chain, init, H)])
+    return np.array([sigma @ W for sigma in _state_distributions(chain, s, H)])
 
 
-def build_objective(net: Network, chain: MarkovChain, q0, init, a_bar, H: int) -> np.ndarray:
+def build_objective(net: Network, chain: MarkovChain, q0, s: int, a_bar, H: int) -> np.ndarray:
     """Linear cost vector over the stacked trajectory, length H * n_v."""
     if H < 1:
         raise ValueError("horizon must be >= 1")
     q0 = np.asarray(q0, dtype=np.float64)
     a_bar = np.asarray(a_bar, dtype=np.float64)
-    What = expected_weights_horizon(chain, net.W, init, H)
+    What = expected_weights_horizon(chain, net.W, s, H)
     blocks = []
     for t in range(H):
         lead = 2.0 * (H - t) * q0 + float((H + 1 + t) * (H - t)) * a_bar
@@ -111,22 +108,22 @@ def build_constraints(net: Network, q0, rate: tuple, H: int):
 
 
 def build_bip(net: Network, chain: MarkovChain, arrivals: ArrivalProcess,
-              q0, init, H: int, objective: str = "linear") -> Bip:
+              q0, s: int, H: int, objective: str = "linear") -> Bip:
     """Full binary program for one policy decision.
 
     `objective` is "linear" (the surrogate) or "quadratic" (the exact
     expected sum of squares, from `quadratic_objective`).
     """
     if objective == "quadratic":
-        cost, Q = quadratic_objective(net, chain, arrivals, q0, init, H)
+        cost, Q = quadratic_objective(net, chain, arrivals, q0, s, H)
     else:
-        cost, Q = build_objective(net, chain, q0, init, arrivals.rate_float(), H), None
+        cost, Q = build_objective(net, chain, q0, s, arrivals.rate_float(), H), None
     A, b = build_constraints(net, q0, arrivals.rate, H)
     return Bip(n=H * net.n_v, n_v=net.n_v, H=H, cost=cost, A=A, b=b, Q=Q)
 
 
 def quadratic_objective(net: Network, chain: MarkovChain, arrivals: ArrivalProcess,
-                        q0, init, H: int) -> tuple[np.ndarray, np.ndarray]:
+                        q0, s: int, H: int) -> tuple[np.ndarray, np.ndarray]:
     """Exact E[sum_{t=1..H} q_t'q_t] as const + cost.u + u'Qu; returns (cost, Q).
 
     Same open-loop model as `quadratic_objective_oracle`, in closed form.
@@ -143,7 +140,7 @@ def quadratic_objective(net: Network, chain: MarkovChain, arrivals: ArrivalProce
         raise ValueError("horizon must be >= 1")
     n_v = net.n_v
     R, W, P = net.R, net.W, chain.P
-    sigmas = _state_distributions(chain, init, H)
+    sigmas = _state_distributions(chain, s, H)
     # row t is E[q0 + A_{t+1}], the uncontrolled mean queue after slot t
     drift = (np.asarray(q0, dtype=np.float64)
              + np.cumsum([arrivals.mean(t) for t in range(H)], axis=0))

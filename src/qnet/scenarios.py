@@ -13,8 +13,6 @@ from .markov import MarkovChain, validate_chain
 from .model import ArrivalProcess, Network, _as_array, validate_arrivals, validate_network
 from .policies import PolicySpec
 
-DEFAULT_SLOTS = 1000
-
 
 @dataclass
 class Scenario:
@@ -65,6 +63,9 @@ def validate_scenario(raw: dict) -> Scenario:
     name = raw.get("name")
     if not isinstance(name, str) or not name:
         raise ValidationError("name", "scenario needs a nonempty name")
+    if name in (".", "..") or any(ch in name for ch in "/\\\0"):
+        raise ValidationError("name", f"{name!r} names output files: it may not be . or .. "
+                                      "or hold /, \\ or NUL")
     if "network" not in raw:
         raise ValidationError("network", "missing network block")
     net = validate_network(raw["network"])

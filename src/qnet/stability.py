@@ -226,12 +226,11 @@ def region_rows_to_csv(rows: list[dict]) -> str:
 # Empirical classification
 
 
-@dataclass
-class StabilityThresholds:
-    stable_slope: float = 0.01     # packets per slot
-    unstable_slope: float = 0.05
-    queue_factor: float = 100.0    # bound = factor * mean-arrival * sqrt(window)
-    queue_floor: float = 100.0     # lets zero-arrival traces classify as stable
+STABLE_SLOPE = 0.01        # packets per slot
+UNSTABLE_SLOPE = 0.05
+QUEUE_FACTOR = 100.0       # bound = factor * mean arrival * sqrt(window)
+QUEUE_FLOOR = 100.0        # lets zero-arrival traces classify as stable
+MIN_ASSESS_SLOTS = 4       # the window, the second half, needs two slots
 
 
 @dataclass
@@ -241,24 +240,21 @@ class StabilityVerdict:
     window: int
 
 
-def assess_stability(trace: Trace, window: int | None = None,
-                     thresholds: StabilityThresholds | None = None) -> StabilityVerdict:
-    """Least-squares slope of the total queue over the final window."""
-    th = thresholds or StabilityThresholds()
+def assess_stability(trace: Trace) -> StabilityVerdict:
+    """Least-squares slope of the total queue over the trace's second half."""
     series = trace.total_queue_series()
-    if window is None:
-        window = len(series) // 2
-    if len(series) < 2 * window or window < 2:
-        raise ValueError(f"trace of {len(series)} slots is too short for window {window}")
+    if len(series) < MIN_ASSESS_SLOTS:
+        raise ValueError(f"trace of {len(series)} slots is too short")
+    window = len(series) // 2
     tail = series[-window:].astype(np.float64)
     ts = np.arange(window, dtype=np.float64)
     ts -= ts.mean()
     slope = float((ts * (tail - tail.mean())).sum() / (ts * ts).sum())
-    mean_arrival = trace.cumulative_arrivals() / max(trace.slots, 1)
-    bound = max(th.queue_factor * mean_arrival * np.sqrt(window), th.queue_floor)
-    if slope > th.unstable_slope:
+    mean_arrival = trace.cumulative_arrivals() / trace.slots
+    bound = max(QUEUE_FACTOR * mean_arrival * np.sqrt(window), QUEUE_FLOOR)
+    if slope > UNSTABLE_SLOPE:
         cls = "unstable"
-    elif slope < th.stable_slope and tail.max() < bound:
+    elif slope < STABLE_SLOPE and tail.max() < bound:
         cls = "stable"
     else:
         cls = "inconclusive"

@@ -67,8 +67,6 @@ def test_aborted_run_recorded(monkeypatch):
     import qnet.harness as harness
 
     class Bad:
-        n_solves = 0
-
         def decide(self, q, s):
             return np.array([0, 0, 1])   # synchronized drain from empty queues
 
@@ -165,6 +163,10 @@ SMALL_RED = scenario_example2("red", slots=20, replications=1).to_json()
     ("arrivals.p[1][0]", "arrivals", {"kind": "iid-bernoulli-batch", "p": ["1/2", [1.5, 2]]}),
     ("policy.H", "policies", [{"kind": "PNC", "H": 1000000}]),
     ("policy.H", "policies", [{"kind": "PNC", "H": 13}]),
+    ("network.R", "network", {"R": [[-1] * 25, [0] * 25], "C": [[1] * 25], "c": [1],
+                              "W": [[1.0] * 25]}),
+    ("name", "name", "../x"),
+    ("name", "name", "a/b"),
 ])
 def test_cli_malformed_fields_exit_2(tmp_path, capsys, path, field, value):
     # field None replaces the whole document
@@ -221,6 +223,24 @@ def test_cli_run_rejects_oversized_horizon(tmp_path, capsys, horizon):
                  "--slots", "10", "--out", str(tmp_path)]) == 2
     assert "policy.H:" in capsys.readouterr().err
     assert not list(tmp_path.iterdir())
+
+
+def test_cli_run_rejects_wide_network_and_escaping_names(tmp_path, capsys):
+    # validation fails before any file is written, inside --out or beside it
+    network = {"R": [[-1] * 25, [0] * 25], "C": [[1] * 25], "c": [1], "W": [[1.0] * 25]}
+    wide = tmp_path / "wide.json"
+    wide.write_text(json.dumps(dict(SMALL_RED, network=network, policies=[{"kind": "IDLE"}])))
+    out = tmp_path / "out"
+    for flags in (["MW"], ["PNC", "--horizon", "1"], ["FPNC", "--horizon", "2"], ["RANDOM"]):
+        assert main(["run", str(wide), "--policy", *flags, "--out", str(out)]) == 2
+        assert "network.R:" in capsys.readouterr().err
+    for name in ("../escaped", "sub/dir"):
+        named = tmp_path / "named.json"
+        named.write_text(json.dumps(dict(SMALL_RED, name=name)))
+        assert main(["run", str(named), "--out", str(out)]) == 2
+        assert "name:" in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["named.json", "wide.json"]
+    assert main(["run", str(wide), "--out", str(out)]) == 0   # IDLE lists no controls
 
 
 def test_cli_region(tmp_path, capsys):

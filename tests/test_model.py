@@ -6,8 +6,7 @@ from fractions import Fraction
 from hypothesis import given, settings, strategies as st
 
 from qnet.errors import EnumerationLimitError, ValidationError
-from qnet.model import (enumerate_control_set, negative_part, validate_arrivals,
-                        validate_network)
+from qnet.model import enumerate_control_set, validate_arrivals, validate_network
 
 RELAY = {"R": [[-1, 0], [1, -1]], "C": [[0, 0]], "c": [1], "W": [[1.0, 1.0]]}
 
@@ -116,20 +115,14 @@ def test_enumerate_completeness(seed, n_v):
 
 
 def test_negative_part_examples():
-    assert negative_part([[-1, 1]]).tolist() == [[-1, 0]]
-    assert negative_part(np.zeros((2, 3))).tolist() == [[0, 0, 0], [0, 0, 0]]
+    def r_minus(R):
+        return validate_network({"R": R, "W": [[1.0] * len(R[0])]}).R_minus.tolist()
+
+    assert r_minus([[-1, 1]]) == [[-1, 0]]
+    with pytest.warns(UserWarning, match="all-zero column"):
+        assert r_minus([[0, 0, 0], [0, 0, 0]]) == [[0, 0, 0], [0, 0, 0]]
     # shared-transmission topology: the copy column has no drain
-    R = [[-1, 0, -1], [0, 1, -1]]
-    assert negative_part(R).tolist() == [[-1, 0, -1], [0, 0, -1]]
-
-
-@given(st.integers(0, 10**6))
-@settings(deadline=None, max_examples=40, derandomize=True)
-def test_negative_part_idempotent(seed):
-    rng = np.random.default_rng(seed)
-    R = rng.integers(-1, 2, size=(3, 4))
-    first = negative_part(R)
-    assert np.array_equal(negative_part(first), first)
+    assert r_minus([[-1, 0, -1], [0, 1, -1]]) == [[-1, 0, -1], [0, 0, -1]]
 
 
 # ---------------------------------------------------------------------------

@@ -44,5 +44,7 @@ def test_tracer_installs_runs_and_restores():
     metrics = {k: v for k, (v, _unit) in tracer.layer_metrics(rays=2, bytes_written=0).items()}
     assert metrics["dynamics.slots"] == metrics["policies.decisions"] == 120
     assert metrics["policies.solves"] == metrics["optim.solve_bip_calls"] > 0
+    # the harness classifies each run through its own `assess_stability` name
+    assert metrics["stability.assess_s"] > 0
     # the region LPs reach the tracer as exact calls
     assert metrics["optim.lp_exact_calls"] > 0 and metrics["optim.lp_float_calls"] == 0

@@ -128,16 +128,19 @@ def test_fpnc_h1_equals_pnc_h1():
     assert res[0] == res[1]
 
 
-def test_solver_invocation_counts():
+def test_solver_invocation_counts(monkeypatch):
+    # PNC asks for a trajectory every slot, FPNC once per H slots
     sc = scenario_example2("red")
     T = 30
-    pnc = PncPolicy(sc.net, sc.chain, sc.arrivals, H=2)
-    run(sc.net, sc.chain, sc.arrivals, pnc, T, make_streams(3))
-    assert pnc.n_solves == T
-    for H in (2, 3):
-        fp = FpncPolicy(sc.net, sc.chain, sc.arrivals, H=H)
-        run(sc.net, sc.chain, sc.arrivals, fp, T, make_streams(3))
-        assert fp.n_solves == int(np.ceil(T / H))
+    calls = []
+    trajectory = PncPolicy._trajectory
+    monkeypatch.setattr(PncPolicy, "_trajectory",
+                        lambda self, q, s: calls.append(1) or trajectory(self, q, s))
+    for cls, H, want in ((PncPolicy, 2, 30), (FpncPolicy, 2, 15), (FpncPolicy, 3, 10)):
+        calls.clear()
+        run(sc.net, sc.chain, sc.arrivals, cls(sc.net, sc.chain, sc.arrivals, H=H), T,
+            make_streams(3))
+        assert len(calls) == want, (cls, H)
 
 
 def test_repair_drops_violating_links():

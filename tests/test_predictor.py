@@ -43,18 +43,6 @@ def test_expected_weights_alternating_chain():
                                                                  [1.0, 0.0]]
 
 
-def test_expected_weights_linear_in_distribution(rng):
-    for _ in range(20):
-        net = random_network(rng, n_s=3)
-        chain = random_chain(rng, 3)
-        lam = rng.random()
-        mix = lam * np.eye(3)[0] + (1 - lam) * np.eye(3)[2]
-        direct = expected_weights_horizon(chain, net.W, mix, 4)
-        combo = (lam * expected_weights_horizon(chain, net.W, np.eye(3)[0], 4)
-                 + (1 - lam) * expected_weights_horizon(chain, net.W, np.eye(3)[2], 4))
-        assert np.allclose(direct, combo, atol=1e-12)
-
-
 def test_objective_h1_formula(rng):
     for _ in range(20):
         net = random_network(rng)

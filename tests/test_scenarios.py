@@ -93,6 +93,9 @@ def test_scenario_json_round_trip():
     assert again.slots == sc.slots and again.seed == sc.seed
 
 
+WIDE_NETWORK = {"R": [[-1] * 25, [0] * 25], "C": [[1] * 25], "c": [1], "W": [[1.0] * 25]}
+
+
 def test_scenario_validation_paths():
     sc = scenario_example2("red").to_json()
     bad = dict(sc)
@@ -161,10 +164,26 @@ def test_scenario_validation_paths():
             # example2 has 4 controls per slot, and 4^13 > 2^24
             ("policy.H", "policies", [{"kind": "MW", "H": 3}]),
             ("policy.H", "policies", [{"kind": "PNC", "H": 1000000}]),
-            ("policy.H", "policies", [{"kind": "FPNC", "H": 13}])):
+            ("policy.H", "policies", [{"kind": "FPNC", "H": 13}]),
+            # MW lists the 2^25 controls of 25 links
+            ("network.R", "network", WIDE_NETWORK),
+            # the name prefixes output files inside --out
+            ("name", "name", "../escaped"),
+            ("name", "name", "sub/dir"),
+            ("name", "name", "sub\\dir"),
+            ("name", "name", "a\0b"),
+            ("name", "name", "."),
+            ("name", "name", "..")):
         with pytest.raises(ValidationError) as info:
             validate_scenario(dict(sc, **{block: value}))
         assert info.value.path == path
     with pytest.raises(ValidationError) as info:
         validate_scenario([1])
     assert info.value.path == "scenario"
+    # every policy but IDLE lists the binary controls, of at most 24 links
+    for policy in ({"kind": "PNC", "H": 1}, {"kind": "FPNC", "H": 2}, {"kind": "RANDOM"}):
+        with pytest.raises(ValidationError, match=policy["kind"]) as info:
+            validate_scenario(dict(sc, network=WIDE_NETWORK, policies=[policy]))
+        assert info.value.path == "network.R"
+    assert validate_scenario(dict(sc, network=WIDE_NETWORK,
+                                  policies=[{"kind": "IDLE"}])).net.n_v == 25
