@@ -13,7 +13,7 @@ import sys
 from .errors import ValidationError
 from .harness import DEFAULT_RAY_COUNT, run_experiment, write_region_csv
 from .policies import PolicySpec
-from .scenarios import BUILTIN_BUILDERS, builtin_scenario, load_scenario
+from .scenarios import BUILTIN_BUILDERS, builtin_scenario, check_run_settings, load_scenario
 
 
 def _load(name_or_path: str):
@@ -84,12 +84,11 @@ def main(argv=None) -> int:
             scenario = _load(args.scenario)
             if args.horizon is not None and args.policy is None:
                 raise ValidationError("--horizon", "requires --policy PNC or FPNC")
-            if args.seed is not None:
-                scenario.seed = args.seed
-            if args.slots is not None:
-                scenario.slots = args.slots
-            if args.replications is not None:
-                scenario.replications = args.replications
+            overrides = {key: getattr(args, key) for key in ("slots", "replications", "seed")
+                         if getattr(args, key) is not None}
+            check_run_settings(overrides, prefix="--")
+            for key, value in overrides.items():
+                setattr(scenario, key, value)
             policies = None
             if args.policy is not None:
                 policies = [PolicySpec(args.policy.upper(), args.horizon)]

@@ -8,13 +8,13 @@ see identical arrival and chain realizations slot by slot.
 
 from __future__ import annotations
 
-import io
-from dataclasses import dataclass, field
+from collections.abc import Sequence
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import PolicyContractError
-from .markov import MarkovChain, sample_next
+from .markov import MarkovChain, next_states, sample_next
 from .model import ArrivalProcess, Network
 
 STREAM_IDS = {"links": 0, "arrivals": 1, "chain": 2, "policy": 3}
@@ -54,7 +54,7 @@ class StepRecord:
     delivered: int
 
 
-@dataclass
+@dataclass(frozen=True)
 class Feasibility:
     ok: bool
     family: str | None = None   # constituency | positiveness | source
@@ -64,29 +64,40 @@ class Feasibility:
         return self.ok
 
 
+FEASIBLE = Feasibility(True)
+
+
 def check_feasible(net: Network, q, v) -> Feasibility:
-    """Constituency, positiveness and source-requirement check; never raises."""
+    """Constituency, positiveness and source-requirement check; never raises.
+
+    A violation reports the first family that fails, in that order, and the
+    first violated row (constituency, positiveness) or link (source).
+    """
     v = np.asarray(v)
-    lhs = net.C @ v
-    over = lhs > net.c
-    if over.any():
-        return Feasibility(False, "constituency", int(np.argmax(over)))
-    drained = q + net.R_minus @ v
-    neg = drained < 0
-    if neg.any():
-        return Feasibility(False, "positiveness", int(np.argmax(neg)))
-    for j in np.flatnonzero(v):
-        if ((net.S_req[:, j] == 1) & (np.asarray(q) < 1)).any():
-            return Feasibility(False, "source", int(j))
-    return Feasibility(True)
+    q = np.asarray(q)
+    on = v != 0
+    # Accept in one pass: C v <= c, q >= -R_minus v (positiveness) and q >= 1
+    # wherever a switched-on link requires it (source).  The masks hold a few
+    # entries, where all() over a list costs far less than ndarray.all().
+    need = np.maximum(-(net.R_minus @ v), net.S_req @ on > 0)
+    if all((net.C @ v <= net.c).tolist()) and all((q >= need).tolist()):
+        return FEASIBLE
+    starved = on & ((q < 1) @ net.S_req > 0)
+    for family, bad in (("constituency", net.C @ v > net.c),
+                        ("positiveness", q + net.R_minus @ v < 0),
+                        ("source", starved)):
+        if bad.any():
+            return Feasibility(False, family, int(np.argmax(bad)))
+    return FEASIBLE
 
 
-def step(net: Network, arrivals: ArrivalProcess, chain: MarkovChain,
-         state: SimState, v, streams: RngStreams) -> tuple[SimState, StepRecord]:
-    """One slot:  q' = q + R diag(m) v + a,  s' ~ chain row s.
+def step(net: Network, state: SimState, v, a, s_next: int,
+         links: np.random.Generator) -> tuple[SimState, StepRecord]:
+    """One slot:  q' = q + R diag(m) v + a, then the chain moves to s_next.
 
-    Coin flips are drawn per activated link only, in ascending link order;
-    non-activated links record m = 0.
+    `a` and `s_next` are the slot's drawn arrivals and next chain state.
+    Coin flips are drawn from `links` per activated link only, in ascending
+    link order; non-activated links record m = 0.
     """
     v = np.asarray(v, dtype=np.int64)
     feas = check_feasible(net, state.q, v)
@@ -98,37 +109,53 @@ def step(net: Network, arrivals: ArrivalProcess, chain: MarkovChain,
                                   np.zeros(net.n_q, dtype=np.int64),
                                   state.q.copy(), 0))
     m = np.zeros(net.n_v, dtype=np.int64)
-    for j in np.flatnonzero(v):
-        w = net.W[state.s, j]
-        if w >= 1.0:
+    w = net.W[state.s].tolist()
+    for j in v.nonzero()[0].tolist():
+        # w == 1: certain success, w == 0: certain failure, neither draws
+        if w[j] >= 1.0 or w[j] > 0.0 and links.random() < w[j]:
             m[j] = 1
-        elif w > 0.0:
-            m[j] = 1 if streams.links.random() < w else 0
-        # w == 0: certain failure, no draw
-    a = arrivals.sample(state.t, streams.arrivals)
-    q_after = state.q + net.R @ (m * v) + a
-    s_next = sample_next(state.s, chain.P, streams.chain)
-    delivered = int((m * v * net.delivery).sum())
-    rec = StepRecord(state.t, state.s, state.q.copy(), v, m, a, q_after.copy(), delivered)
+    mv = m * v
+    q_after = state.q + net.R @ mv + a
+    delivered = int(mv @ net.delivery)
+    rec = StepRecord(state.t, state.s, state.q, v, m, a, q_after, delivered)
     return SimState(state.t + 1, q_after, s_next), rec
 
 
-@dataclass
+@dataclass(eq=False)
 class Trace:
-    records: list[StepRecord] = field(default_factory=list)
+    """A run's slots as columns: row t of each (slots, ...) array is slot t.
+
+    Arrays are read-only once the run returns.
+    """
+    q0: np.ndarray   # queues before slot 0, (n_q,)
+    S: np.ndarray    # chain state, (slots,)
+    Q: np.ndarray    # queues after the slot, (slots, n_q)
+    V: np.ndarray    # control, (slots, n_v)
+    M: np.ndarray    # link successes, (slots, n_v)
+    A: np.ndarray    # arrivals, (slots, n_q)
+    D: np.ndarray    # packets delivered, (slots,)
 
     @property
     def slots(self) -> int:
-        return len(self.records)
+        return len(self.S)
+
+    @property
+    def records(self) -> Sequence[StepRecord]:
+        """The slots as `StepRecord`s, built on access from the columns.
+
+        A fresh view each time: the trace holds no reference to it, so the
+        two form no cycle and a dropped trace frees its arrays at once.
+        """
+        return _Records(self)
 
     def total_queue_series(self) -> np.ndarray:
-        return np.array([rec.q_after.sum() for rec in self.records], dtype=np.int64)
+        return self.Q.sum(axis=1)
 
     def cumulative_arrivals(self) -> int:
-        return int(sum(rec.a.sum() for rec in self.records))
+        return int(self.A.sum())
 
     def cumulative_delivered(self) -> int:
-        return int(sum(rec.delivered for rec in self.records))
+        return int(self.D.sum())
 
     def time_avg_total_queue(self) -> float:
         series = self.total_queue_series()
@@ -139,32 +166,64 @@ class Trace:
         return self.cumulative_delivered() / arr if arr else 0.0
 
 
+class _Records(Sequence):
+    def __init__(self, trace: Trace):
+        self._trace = trace
+
+    def __len__(self) -> int:
+        return self._trace.slots
+
+    def __getitem__(self, t: int) -> StepRecord:
+        tr = self._trace
+        if not -tr.slots <= t < tr.slots:
+            raise IndexError(f"slot {t} outside a trace of {tr.slots} slots")
+        t %= tr.slots
+        q_before = tr.Q[t - 1] if t else tr.q0
+        return StepRecord(t, int(tr.S[t]), q_before, tr.V[t], tr.M[t], tr.A[t], tr.Q[t],
+                          int(tr.D[t]))
+
+
 def run(net: Network, chain: MarkovChain, arrivals: ArrivalProcess, policy,
         slots: int, streams: RngStreams, q0=None) -> Trace:
     """Drive the network for `slots` slots under `policy`.
 
     The start state is `chain.s0`, or else drawn from `chain.sigma0`.  The
-    policy is consulted once per slot with (q_t, s_t).  An infeasible
-    policy decision aborts the run with the diagnostic attached.  Identical
-    inputs, streams seeded alike, reproduce the trace bit for bit.
+    chain path and the arrivals are drawn for the whole run up front, one
+    uniform per slot and one per queue per slot, the same draws a slot at a
+    time would take.  The policy is consulted once per slot with (q_t, s_t).
+    An infeasible policy decision aborts the run with the diagnostic
+    attached.  Identical inputs, streams seeded alike, reproduce the trace
+    bit for bit.
     """
     q = np.zeros(net.n_q, dtype=np.int64) if q0 is None else np.asarray(q0, dtype=np.int64).copy()
     if (q < 0).any():
         raise ValueError("initial queue state must be nonnegative")
     # a sigma0 start state takes one chain-stream uniform; a fixed s0 takes none
     s = chain.s0 if chain.s0 is not None else sample_next(0, chain.sigma0[None, :], streams.chain)
+    path = [s] + next_states(s, chain.P, streams.chain.random(slots).tolist())
+    trace = Trace(q0=q, S=np.array(path[:-1], dtype=np.int64),
+                  Q=np.empty((slots, net.n_q), dtype=np.int64),
+                  V=np.empty((slots, net.n_v), dtype=np.int64),
+                  M=np.empty((slots, net.n_v), dtype=np.int64),
+                  A=arrivals.sample_slots(0, slots, streams.arrivals),
+                  D=np.empty(slots, dtype=np.int64))
     state = SimState(0, q, s)
-    trace = Trace()
-    # one-slot change bounds; summing them gives the window bounds
-    lo = -np.full(net.n_q, net.n_v, dtype=np.int64)
-    hi = np.full(net.n_q, net.n_v, dtype=np.int64) + net.a_hat
-    for _ in range(slots):
+    # one-slot change bounds, per queue; summing them gives the window bounds
+    lo = -net.n_v
+    hi = (net.n_v + net.a_hat).tolist()
+    for t in range(slots):
         v = policy.decide(state.q, state.s)
-        state, rec = step(net, arrivals, chain, state, v, streams)
-        delta = rec.q_after - rec.q_before
-        if (delta < lo).any() or (delta > hi).any() or (rec.q_after < 0).any():
-            raise AssertionError(f"state-evolution invariant violated at t={rec.t}")
-        trace.records.append(rec)
+        state, rec = step(net, state, v, trace.A[t], path[t + 1], streams.links)
+        # a few queues: a Python loop over lists beats numpy's per-call overhead
+        if not all(after >= 0 and lo <= after - before <= h for after, before, h
+                   in zip(rec.q_after.tolist(), rec.q_before.tolist(), hi)):
+            raise AssertionError(f"state-evolution invariant violated at t={t}")
+        trace.Q[t] = rec.q_after
+        trace.V[t] = rec.v
+        trace.M[t] = rec.m
+        trace.D[t] = rec.delivered
+    for arr in (trace.q0, trace.S, trace.Q, trace.V, trace.M, trace.A, trace.D):
+        arr.setflags(write=False)
     return trace
 
 
@@ -183,9 +242,7 @@ def trace_csv_header(net: Network) -> str:
 
 def trace_to_csv(trace: Trace, net: Network) -> str:
     """One row per slot; queue columns show the post-slot state."""
-    buf = io.StringIO()
-    buf.write(trace_csv_header(net) + "\n")
-    for rec in trace.records:
-        cells = [rec.t, rec.s, *rec.q_after, *rec.v, *rec.m, *rec.a, rec.delivered]
-        buf.write(",".join(str(int(x)) for x in cells) + "\n")
-    return buf.getvalue()
+    rows = np.column_stack((np.arange(trace.slots), trace.S, trace.Q, trace.V, trace.M,
+                            trace.A, trace.D)).tolist()
+    lines = [trace_csv_header(net)] + [",".join(map(str, row)) for row in rows]
+    return "\n".join(lines) + "\n"

@@ -9,7 +9,8 @@ from fractions import Fraction
 import numpy as np
 
 from .dynamics import Trace, make_streams, run, trace_to_csv
-from .errors import PolicyContractError
+from .errors import PolicyContractError, ValidationError
+from .optim import MAX_BINARY_BITS
 from .policies import PolicySpec, make_policy
 from .scenarios import Scenario
 from .stability import (MIN_ASSESS_SLOTS, RegionQuery, assess_stability,
@@ -98,14 +99,19 @@ DEFAULT_RAY_COUNT = 13
 def region_rows(scenario: Scenario, option_set: str = "full",
                 n_rays: int = DEFAULT_RAY_COUNT) -> list[dict]:
     """Boundary polyline of the scenario's stability region in its scaled units."""
-    if scenario.net.n_q != 2:
-        raise ValueError("region sweeps are defined for two-queue arrival planes")
+    net = scenario.net
+    if net.n_q != 2:
+        raise ValidationError("network.R", "region sweeps are defined for two-queue arrival "
+                                           f"planes, got {net.n_q} queues")
+    if net.n_v > MAX_BINARY_BITS:
+        raise ValidationError("network.R", "region sweeps list the binary controls of at most "
+                                           f"{MAX_BINARY_BITS} links, got {net.n_v}")
     options = None
     if option_set == "mw":
-        options = mw_accessible_options(scenario.net)
+        options = mw_accessible_options(net)
     elif option_set != "full":
         raise ValueError(f"unknown option set {option_set!r}; expected full or mw")
-    query = RegionQuery(net=scenario.net, a_bar=(Fraction(0), Fraction(0)),
+    query = RegionQuery(net=net, a_bar=(Fraction(0), Fraction(0)),
                         options=options, effect_scale=scenario.region_scale)
     directions = []
     for k in range(n_rays):

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 
 import numpy as np
@@ -111,7 +112,21 @@ def stationary(P: np.ndarray) -> np.ndarray:
     raise ValueError("no convergence within 10^6 iterations: chain may be periodic or reducible")
 
 
+def next_states(s: int, P: np.ndarray, u) -> list[int]:
+    """The states that follow s, one per uniform in u, each from the row of the last.
+
+    From row r the next state is the first k with u < cumsum(P[r])[k],
+    clipped to the last state when rounding leaves the row sum below u.
+    """
+    cum = np.cumsum(P, axis=1).tolist()
+    last = P.shape[1] - 1
+    out = []
+    for x in u:
+        s = min(bisect_right(cum[s], x), last)
+        out.append(s)
+    return out
+
+
 def sample_next(s: int, P: np.ndarray, rng) -> int:
     """Draw a state from row s of P, consuming exactly one uniform."""
-    u = rng.random()
-    return int(np.searchsorted(np.cumsum(P[s]), u, side="right").clip(max=P.shape[1] - 1))
+    return next_states(s, P, [rng.random()])[0]

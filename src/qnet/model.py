@@ -208,16 +208,24 @@ class ArrivalProcess:
     rate: tuple[Fraction, ...] = ()          # mean arrivals per slot, exact
     a_hat: np.ndarray = None                 # elementwise sample bound
 
-    def sample(self, t: int, rng) -> np.ndarray:
+    def sample_slots(self, t: int, slots: int, rng) -> np.ndarray:
+        """Arrivals of slots t .. t + slots - 1, one row per slot.
+
+        iid-bernoulli-batch draws one uniform per queue per slot, row by row,
+        so the stream stays aligned across policies regardless of decisions
+        and one call for many slots equals one call per slot.  The other
+        kinds draw nothing.
+        """
         if self.kind == "constant":
-            return self.value.copy()
+            return np.tile(self.value, (slots, 1))
         if self.kind == "deterministic-periodic":
-            return self.pattern[t % len(self.pattern)].copy()
-        # iid-bernoulli-batch: one uniform per queue per slot, so the stream
-        # stays aligned across policies regardless of decisions
-        u = rng.random(self.n_q)
-        draws = (u < [float(pi) for pi in self.p]).astype(np.int64)
-        return draws * self.batch
+            return self.pattern[np.arange(t, t + slots) % len(self.pattern)]
+        u = rng.random((slots, self.n_q))
+        return (u < [float(pi) for pi in self.p]) * self.batch
+
+    def sample(self, t: int, rng) -> np.ndarray:
+        """Arrivals of slot t."""
+        return self.sample_slots(t, 1, rng)[0]
 
     def rate_float(self) -> np.ndarray:
         return np.array([float(r) for r in self.rate])

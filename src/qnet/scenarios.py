@@ -56,6 +56,24 @@ def _arrivals_to_json(ap: ArrivalProcess) -> dict:
     return {"kind": ap.kind, "p": [str(x) for x in ap.p], "batch": ap.batch.tolist()}
 
 
+# (key, least value, what is expected); seeds feed np.random.SeedSequence,
+# which takes nonnegative integers only
+RUN_SETTINGS = (("slots", 1, "a positive slot count"),
+                ("replications", 1, "a replication count >= 1"),
+                ("seed", 0, "an explicit nonnegative integer seed"))
+
+
+def check_run_settings(raw: dict, prefix: str = "") -> None:
+    """Check the run settings `raw` holds, each an integer (not a bool) no
+    less than its least value; errors carry the path `prefix + key`."""
+    for key, least, what in RUN_SETTINGS:
+        if key not in raw:
+            continue
+        x = raw[key]
+        if not isinstance(x, int) or isinstance(x, bool) or x < least:
+            raise ValidationError(prefix + key, f"expected {what}, got {x!r}")
+
+
 def validate_scenario(raw: dict) -> Scenario:
     """Field-by-field validation; errors carry the offending path."""
     if not isinstance(raw, dict):
@@ -87,15 +105,8 @@ def validate_scenario(raw: dict) -> Scenario:
     policies = [PolicySpec.from_json(p) for p in pol_raw]
     for spec in policies:
         spec.check_size(net)
-    slots = raw.get("slots")
-    if not isinstance(slots, int) or isinstance(slots, bool) or slots < 1:
-        raise ValidationError("slots", f"expected a positive slot count, got {slots!r}")
-    replications = raw.get("replications", 1)
-    if not isinstance(replications, int) or isinstance(replications, bool) or replications < 1:
-        raise ValidationError("replications", "replications must be >= 1")
-    seed = raw.get("seed")
-    if not isinstance(seed, int) or isinstance(seed, bool):
-        raise ValidationError("seed", "an explicit integer seed is required")
+    slots, replications, seed = raw.get("slots"), raw.get("replications", 1), raw.get("seed")
+    check_run_settings({"slots": slots, "replications": replications, "seed": seed})
     q0 = None
     if raw.get("q0") is not None:
         q0 = _as_array(raw["q0"], "q0")

@@ -1,5 +1,9 @@
 """One-step evolution, feasibility checks, traces, serialization."""
 
+import gc
+import itertools
+import weakref
+
 import numpy as np
 import pytest
 
@@ -8,9 +12,9 @@ from qnet.dynamics import (SimState, Trace, check_feasible, make_streams, run,
 from qnet.errors import PolicyContractError
 from qnet.markov import validate_chain
 from qnet.model import enumerate_control_set, validate_arrivals, validate_network
-from qnet.policies import IdlePolicy, RandomPolicy
+from qnet.policies import IdlePolicy, PolicySpec, RandomPolicy, make_policy
 
-from conftest import random_network, zero_arrivals
+from conftest import random_chain, random_network, zero_arrivals
 
 RELAY = validate_network({"R": [[-1, 0], [1, -1]], "C": [[0, 0]], "c": [1],
                           "W": [[1.0, 1.0]]})
@@ -44,7 +48,7 @@ def test_step_certain_success():
     arr = validate_arrivals({"kind": "constant", "value": [0, 0]}, 2)
     streams = make_streams(0)
     state = SimState(0, np.array([1, 1]), 0)
-    nxt, rec = step(RELAY, arr, ONE_STATE, state, [1, 1], streams)
+    nxt, rec = step(RELAY, state, [1, 1], arr.sample(0, streams.arrivals), 0, streams.links)
     assert rec.q_after.tolist() == [0, 1]
     assert rec.delivered == 1
     assert nxt.t == 1
@@ -53,7 +57,8 @@ def test_step_certain_success():
 def test_step_idle_keeps_queues():
     arr = validate_arrivals({"kind": "constant", "value": [1, 0]}, 2)
     streams = make_streams(0)
-    nxt, rec = step(RELAY, arr, ONE_STATE, SimState(0, np.array([3, 2]), 0), [0, 0], streams)
+    nxt, rec = step(RELAY, SimState(0, np.array([3, 2]), 0), [0, 0],
+                    arr.sample(0, streams.arrivals), 0, streams.links)
     assert rec.q_after.tolist() == [4, 2]
     assert rec.m.tolist() == [0, 0]
 
@@ -61,8 +66,8 @@ def test_step_idle_keeps_queues():
 def test_step_rejects_infeasible():
     arr = zero_arrivals(2)
     with pytest.raises(PolicyContractError):
-        step(RELAY, arr, ONE_STATE, SimState(0, np.array([0, 0]), 0), [1, 0],
-             make_streams(0))
+        step(RELAY, SimState(0, np.array([0, 0]), 0), [1, 0], arr.sample(0, None), 0,
+             make_streams(0).links)
 
 
 def test_step_record_identity(rng):
@@ -71,11 +76,11 @@ def test_step_record_identity(rng):
         net = random_network(rng)
         arr = validate_arrivals({"kind": "constant",
                                  "value": rng.integers(0, 3, size=net.n_q).tolist()}, net.n_q)
-        chain = validate_chain({"P": np.eye(net.n_s).tolist(), "s0": 0})
         q = rng.integers(0, 5, size=net.n_q)
         vs = [v for v in enumerate_control_set(net) if check_feasible(net, q, v).ok]
         v = vs[rng.integers(len(vs))]
-        _, rec = step(net, arr, chain, SimState(0, q, 0), v, make_streams(int(rng.integers(1000))))
+        _, rec = step(net, SimState(0, q, 0), v, arr.sample(0, None), 0,
+                      make_streams(int(rng.integers(1000))).links)
         assert np.array_equal(rec.q_after - rec.q_before, net.R @ (rec.m * rec.v) + rec.a)
         assert (rec.m[rec.v == 0] == 0).all()
 
@@ -197,3 +202,121 @@ def test_sigma0_start_state_is_drawn():
     # state 1 has probability 3/4: over 400 seeds its count is 300 with sd 8.7
     ones = sum(start([0.25, 0.75], seed) for seed in range(400))
     assert abs(ones - 300) <= 5 * np.sqrt(400 * 0.25 * 0.75)
+
+
+def _per_family_check(net, q, v):
+    """Feasibility one family at a time, source requirements link by link."""
+    v = np.asarray(v)
+    over = net.C @ v > net.c
+    if over.any():
+        return False, "constituency", int(np.argmax(over))
+    neg = q + net.R_minus @ v < 0
+    if neg.any():
+        return False, "positiveness", int(np.argmax(neg))
+    for j in np.flatnonzero(v):
+        if ((net.S_req[:, j] == 1) & (np.asarray(q) < 1)).any():
+            return False, "source", int(j)
+    return True, None, None
+
+
+def test_check_feasible_matches_per_family_check(rng):
+    families = set()
+    for _ in range(60):
+        net = random_network(rng, allow_copy=True)
+        raw = net.to_json()
+        raw["S_req"] = (rng.random((net.n_q, net.n_v)) < 0.3).astype(int).tolist()
+        net = validate_network(raw)
+        for _ in range(20):
+            q = rng.integers(0, 3, size=net.n_q)
+            # mostly binary controls, some with entries a policy should never return
+            low, high = (0, 2) if rng.random() < 0.8 else (-1, 3)
+            v = rng.integers(low, high, size=net.n_v)
+            res = check_feasible(net, q, v)
+            assert (res.ok, res.family, res.index) == _per_family_check(net, q, v)
+            families.add(res.family)
+    assert families == {None, "constituency", "positiveness", "source"}
+
+
+def _scalar_run(net, chain, arrivals, policy, slots, streams):
+    """The slot loop drawing each uniform when it is used: the start state,
+    then per slot the link coin flips, one arrival uniform per queue and one
+    chain uniform.  Returns one tuple per slot, in `StepRecord` field order."""
+    q = np.zeros(net.n_q, dtype=np.int64)
+    if chain.s0 is not None:
+        s = chain.s0
+    else:
+        s = int(np.searchsorted(np.cumsum(chain.sigma0), streams.chain.random(), side="right")
+                .clip(max=chain.n_s - 1))
+    rows = []
+    for t in range(slots):
+        v = np.asarray(policy.decide(q, s), dtype=np.int64)
+        m = np.zeros(net.n_v, dtype=np.int64)
+        for j in np.flatnonzero(v):
+            w = net.W[s, j]
+            if w >= 1.0:
+                m[j] = 1
+            elif w > 0.0:
+                m[j] = 1 if streams.links.random() < w else 0
+        if arrivals.kind == "constant":
+            a = arrivals.value.copy()
+        elif arrivals.kind == "deterministic-periodic":
+            a = arrivals.pattern[t % len(arrivals.pattern)].copy()
+        else:
+            u = streams.arrivals.random(net.n_q)
+            a = (u < [float(p) for p in arrivals.p]).astype(np.int64) * arrivals.batch
+        q_after = q + net.R @ (m * v) + a
+        s_next = int(np.searchsorted(np.cumsum(chain.P[s]), streams.chain.random(),
+                                     side="right").clip(max=chain.n_s - 1))
+        rows.append((t, s, q, v, m, a, q_after, int((m * v * net.delivery).sum())))
+        q, s = q_after, s_next
+    return rows
+
+
+def test_run_matches_scalar_draws(rng):
+    # multi-state chains from s0 and sigma0, every arrival kind, and policies
+    # that read q, s and their own stream
+    arrival_kinds = (
+        lambda n_q: {"kind": "constant", "value": rng.integers(0, 2, size=n_q).tolist()},
+        lambda n_q: {"kind": "deterministic-periodic",
+                     "pattern": rng.integers(0, 3, size=(3, n_q)).tolist()},
+        lambda n_q: {"kind": "iid-bernoulli-batch",
+                     "p": [f"{int(rng.integers(0, 9))}/16" for _ in range(n_q)],
+                     "batch": rng.integers(1, 3, size=n_q).tolist()},
+    )
+    specs = [PolicySpec("MW"), PolicySpec("PNC", 2), PolicySpec("FPNC", 2),
+             PolicySpec("RANDOM")]
+    for case, (make_arrivals, start) in enumerate(itertools.product(arrival_kinds,
+                                                                    ("s0", "sigma0"))):
+        net = random_network(rng, n_s=3)
+        chain = random_chain(rng, 3)
+        if start == "sigma0":
+            chain = validate_chain({"P": chain.P.tolist(), "sigma0": [0.25, 0.5, 0.25]})
+        arrivals = validate_arrivals(make_arrivals(net.n_q), net.n_q)
+        for spec in specs:
+            traces = []
+            for simulate in (run, _scalar_run):
+                streams = make_streams(case, 1)
+                policy = make_policy(spec, net, chain, arrivals, policy_rng=streams.policy)
+                traces.append(simulate(net, chain, arrivals, policy, 80, streams))
+            got, want = traces
+            assert len(got.records) == len(want) == 80
+            for rec, row in zip(got.records, want):
+                fields = (rec.t, rec.s, rec.q_before, rec.v, rec.m, rec.a, rec.q_after,
+                          rec.delivered)
+                same = [np.array_equal(x, y) for x, y in zip(fields, row)]
+                assert all(same), (spec.name, case, rec.t, same)
+
+
+def test_trace_frees_its_arrays_without_gc():
+    trace = run(RELAY, ONE_STATE, zero_arrivals(2), IdlePolicy(RELAY), 20,
+                make_streams(0), q0=[1, 2])
+    records = trace.records
+    assert records[-1].q_after.tolist() == [1, 2] and len(records) == 20
+    del records
+    queues = weakref.ref(trace.Q)
+    gc.disable()
+    try:
+        del trace
+        assert queues() is None
+    finally:
+        gc.enable()

@@ -167,6 +167,7 @@ SMALL_RED = scenario_example2("red", slots=20, replications=1).to_json()
                               "W": [[1.0] * 25]}),
     ("name", "name", "../x"),
     ("name", "name", "a/b"),
+    ("seed", "seed", -1),
 ])
 def test_cli_malformed_fields_exit_2(tmp_path, capsys, path, field, value):
     # field None replaces the whole document
@@ -181,6 +182,37 @@ def test_cli_region_rejects_nonpositive_rays(tmp_path, capsys, rays):
     assert main(["region", "example2", "--rays", rays, "--out", str(tmp_path)]) == 2
     assert "--rays:" in capsys.readouterr().err
     assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("flag, value", [("--slots", "0"), ("--replications", "0"),
+                                         ("--seed", "-1"), ("--slots", "-5")])
+def test_cli_run_rejects_bad_overrides(tmp_path, capsys, flag, value):
+    # checked like the scenario fields they replace, before any file is written
+    assert main(["run", "example2", "--policy", "MW", flag, value, "--out", str(tmp_path)]) == 2
+    assert f"{flag}:" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+
+
+TWO_QUEUE_WIDE = {"name": "wide", "network": {"R": [[-1] * 25, [0] * 25], "C": [[1] * 25],
+                                              "c": [1], "W": [[1.0] * 25]},
+                  "chain": {"P": [[1.0]], "s0": 0},
+                  "arrivals": {"kind": "constant", "value": [0, 0]},
+                  "policies": [{"kind": "IDLE"}], "slots": 10, "seed": 1}
+
+
+@pytest.mark.parametrize("scenario", ["example1", "wide"])
+def test_cli_region_rejects_unmappable_networks(tmp_path, capsys, scenario):
+    # example1 has four queues; the wide network has more links than any
+    # control enumeration lists
+    if scenario == "wide":
+        path = tmp_path / "wide.json"
+        path.write_text(json.dumps(TWO_QUEUE_WIDE))
+        assert main(["validate", str(path)]) == 0
+        scenario = str(path)
+    out = tmp_path / "out"
+    assert main(["region", scenario, "--out", str(out)]) == 2
+    assert "network.R:" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_cli_unknown_scenario(capsys):
