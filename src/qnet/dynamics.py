@@ -57,8 +57,8 @@ class StepRecord:
 @dataclass(frozen=True)
 class Feasibility:
     ok: bool
-    family: str | None = None   # constituency | positiveness | source
-    index: int | None = None
+    family: str | None = None   # binary | constituency | positiveness | source
+    index: int | None = None    # None when v is not a vector of length n_v
 
     def __bool__(self):
         return self.ok
@@ -67,23 +67,34 @@ class Feasibility:
 FEASIBLE = Feasibility(True)
 
 
+def queue_need(net: Network, v) -> np.ndarray:
+    """The least queues at which a 0/1 control v passes positiveness and its
+    source requirements: max(-R_minus v, S_req v > 0).  A matrix of controls,
+    one per row, gives one row of needs per control."""
+    return np.maximum(-(v @ net.R_minus.T), v @ net.S_req.T > 0)
+
+
 def check_feasible(net: Network, q, v) -> Feasibility:
-    """Constituency, positiveness and source-requirement check; never raises.
+    """Binary, constituency, positiveness and source-requirement check; never raises.
 
     A violation reports the first family that fails, in that order, and the
-    first violated row (constituency, positiveness) or link (source).
+    first violated entry (binary: v not a 0/1 vector of length n_v), row
+    (constituency, positiveness) or link (source).
     """
     v = np.asarray(v)
     q = np.asarray(q)
-    on = v != 0
-    # Accept in one pass: C v <= c, q >= -R_minus v (positiveness) and q >= 1
-    # wherever a switched-on link requires it (source).  The masks hold a few
-    # entries, where all() over a list costs far less than ndarray.all().
-    need = np.maximum(-(net.R_minus @ v), net.S_req @ on > 0)
-    if all((net.C @ v <= net.c).tolist()) and all((q >= need).tolist()):
+    if v.shape != (net.n_v,):
+        return Feasibility(False, "binary", None)
+    # Accept in one pass: v is 0/1, C v <= c and q >= queue_need.  The masks
+    # hold a few entries, where all() over a list costs far less than
+    # ndarray.all().
+    if ({*v.tolist()} <= {0, 1} and all((net.C @ v <= net.c).tolist())
+            and all((q >= queue_need(net, v)).tolist())):
         return FEASIBLE
+    on = v != 0
     starved = on & ((q < 1) @ net.S_req > 0)
-    for family, bad in (("constituency", net.C @ v > net.c),
+    for family, bad in (("binary", on & (v != 1)),
+                        ("constituency", net.C @ v > net.c),
                         ("positiveness", q + net.R_minus @ v < 0),
                         ("source", starved)):
         if bad.any():
@@ -97,17 +108,18 @@ def step(net: Network, state: SimState, v, a, s_next: int,
 
     `a` and `s_next` are the slot's drawn arrivals and next chain state.
     Coin flips are drawn from `links` per activated link only, in ascending
-    link order; non-activated links record m = 0.
+    link order; non-activated links record m = 0.  A control that is not
+    a feasible 0/1 vector of length n_v raises `PolicyContractError`.
     """
-    v = np.asarray(v, dtype=np.int64)
     feas = check_feasible(net, state.q, v)
     if not feas:
         raise PolicyContractError(
             f"infeasible control at t={state.t}: {feas.family} violation at index {feas.index}",
-            diagnostic=StepRecord(state.t, state.s, state.q.copy(), v.copy(),
+            diagnostic=StepRecord(state.t, state.s, state.q.copy(), np.array(v),
                                   np.zeros(net.n_v, dtype=np.int64),
                                   np.zeros(net.n_q, dtype=np.int64),
                                   state.q.copy(), 0))
+    v = np.asarray(v, dtype=np.int64)
     m = np.zeros(net.n_v, dtype=np.int64)
     w = net.W[state.s].tolist()
     for j in v.nonzero()[0].tolist():

@@ -8,6 +8,7 @@ objective, are solved by branch and bound over per-slot control sets.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
@@ -27,15 +28,17 @@ MAX_PIVOTS = 20000   # per simplex phase
 
 @dataclass
 class LpProblem:
-    """min (or max) cost.x  s.t.  A_ub x <= b_ub, A_eq x = b_eq, bounds."""
+    """max cost.x  s.t.  A_ub x <= b_ub, A_eq x = b_eq, x >= 0.
+
+    A free variable is two columns, x = x' - x''; a lower bound lo is the
+    shift x = lo + x'.
+    """
 
     cost: list
     A_ub: list = field(default_factory=list)
     b_ub: list = field(default_factory=list)
     A_eq: list = field(default_factory=list)
     b_eq: list = field(default_factory=list)
-    bounds: list | None = None   # per-var (lo, hi); None entries mean unbounded
-    maximize: bool = False
 
 
 @dataclass
@@ -100,79 +103,30 @@ def _exact(x) -> Fraction:
 def solve_lp(problem: LpProblem, exact: bool = True) -> LpSolution:
     """Two-phase dense simplex on Fractions; the optimum is exact.
 
+    The tableau holds the columns of x, then one slack per A_ub row, with the
+    A_ub rows first; a row with a negative right-hand side is negated.
     `exact` must be True: there is no floating-point mode.
     """
     if not exact:
         raise ValueError("solve_lp runs in exact arithmetic only; exact=False is not supported")
     zero, one = Fraction(0), Fraction(1)
-
-    n = len(problem.cost)
-    sign = -1 if problem.maximize else 1
-    cost = [_exact(problem.cost[j]) * sign for j in range(n)]
-    bounds = problem.bounds if problem.bounds is not None else [(0, None)] * n
-
-    # map original variables onto nonnegative structural columns
-    col_terms = []      # per original var: (offset, [(col, coef)])
-    extra_ub_rows = []  # (col, ub) rows introduced by finite upper bounds
-    ncols = 0
-    for j in range(n):
-        lo, hi = bounds[j]
-        if lo is None and hi is None:
-            col_terms.append((zero, [(ncols, one), (ncols + 1, -one)]))
-            ncols += 2
-        elif lo is None:
-            col_terms.append((_exact(hi), [(ncols, -one)]))
-            ncols += 1
-        else:
-            col_terms.append((_exact(lo), [(ncols, one)]))
-            if hi is not None:
-                extra_ub_rows.append((ncols, _exact(hi) - _exact(lo)))
-            ncols += 1
-
-    rows = []  # (coeffs over structural cols, rhs, is_eq)
-
-    def _convert_row(coeffs, rhs, is_eq):
-        out = [zero] * ncols
-        r = _exact(rhs)
-        for j in range(n):
-            a = _exact(coeffs[j])
-            if a == 0:
-                continue
-            off, terms = col_terms[j]
-            r -= a * off
-            for col, cf in terms:
-                out[col] += a * cf
-        rows.append((out, r, is_eq))
-
-    for coeffs, rhs in zip(problem.A_ub, problem.b_ub):
-        _convert_row(coeffs, rhs, False)
-    for coeffs, rhs in zip(problem.A_eq, problem.b_eq):
-        _convert_row(coeffs, rhs, True)
-    for col, ub in extra_ub_rows:
-        coeffs = [zero] * ncols
-        coeffs[col] = one
-        rows.append((coeffs, ub, False))
-
+    n, n_ub = len(problem.cost), len(problem.A_ub)
+    rows = list(zip(problem.A_ub, problem.b_ub)) + list(zip(problem.A_eq, problem.b_eq))
     m = len(rows)
-    n_slack = sum(1 for _, _, is_eq in rows if not is_eq)
-    width = ncols + n_slack
+    width = n + n_ub
 
     T = np.full((m + 1, width + 1), zero, dtype=object)
     basis = [0] * m
     needs_artificial = []
-    k = 0
-    for i, (coeffs, rhs, is_eq) in enumerate(rows):
-        for j in range(ncols):
-            T[i, j] = coeffs[j]
-        T[i, -1] = rhs
-        if not is_eq:
-            T[i, ncols + k] = one
-            slack_col = ncols + k
-            k += 1
+    for i, (coeffs, rhs) in enumerate(rows):
+        T[i, :n] = [_exact(a) for a in coeffs]
+        T[i, -1] = _exact(rhs)
+        if i < n_ub:
+            T[i, n + i] = one
         if T[i, -1] < zero:
             T[i] = -T[i]
-        if not is_eq and T[i, ncols + k - 1] == one:
-            basis[i] = slack_col
+        if i < n_ub and T[i, n + i] == one:
+            basis[i] = n + i
         else:
             needs_artificial.append(i)
 
@@ -206,33 +160,22 @@ def solve_lp(problem: LpProblem, exact: bool = True) -> LpSolution:
             m = len(basis)
         T = np.concatenate([T[:, :width], T[:, -1:]], axis=1)
 
-    # phase 2
+    # phase 2 minimizes -cost.x
+    cost = [_exact(c) for c in problem.cost]
     T[m, :] = zero
-    c_std = [zero] * width
-    for j in range(n):
-        _, terms = col_terms[j]
-        for col, cf in terms:
-            c_std[col] += cost[j] * cf
-    for j in range(width):
-        T[m, j] = c_std[j]
+    T[m, :n] = [-c for c in cost]
     for i in range(m):
-        cb = c_std[basis[i]] if basis[i] < width else zero
-        if cb != 0:
-            T[m] = T[m] - cb * T[i]
+        if basis[i] < n and cost[basis[i]] != 0:
+            T[m] = T[m] + cost[basis[i]] * T[i]
     status = _simplex_core(T, basis)
     if status == "unbounded":
         return LpSolution("unbounded", None, None)
 
-    x_std = [zero] * width
+    x = [zero] * width
     for i in range(m):
-        if basis[i] < width:
-            x_std[basis[i]] = T[i, -1]
-    x = []
-    for j in range(n):
-        off, terms = col_terms[j]
-        x.append(off + sum(cf * x_std[col] for col, cf in terms))
-    value = sum(_exact(problem.cost[j]) * x[j] for j in range(n))
-    return LpSolution("optimal", x, value)
+        x[basis[i]] = T[i, -1]
+    x = x[:n]
+    return LpSolution("optimal", x, sum(c * xj for c, xj in zip(cost, x)))
 
 
 # ---------------------------------------------------------------------------
@@ -243,24 +186,25 @@ def solve_lp(problem: LpProblem, exact: bool = True) -> LpSolution:
 class Bip:
     """min cost.u + u'Qu  s.t.  A u <= b,  u in {0,1}^n, with H blocks of n_v vars.
 
-    A is integer and b entries are ints or Fractions, so feasibility checks
-    are exact; the cost is floating point with a 1e-9 optimality tolerance.
-    Q is None for a linear objective.
+    A is integer, and b is given as ints or Fractions and stored floored, as
+    int64: A u is an integer, so A u <= b exactly when A u <= floor(b).  The
+    cost is floating point with a 1e-9 optimality tolerance.  Q is None for
+    a linear objective.
     """
 
-    n: int
     n_v: int
     H: int
     cost: np.ndarray
     A: np.ndarray
-    b: list
+    b: np.ndarray
     Q: np.ndarray | None = None
 
-    def rhs_scaled(self) -> tuple[np.ndarray, np.ndarray]:
-        """(numerators, denominators) of b for exact integer comparisons."""
-        num, den = np.array([Fraction(x).as_integer_ratio() for x in self.b],
-                            np.int64).reshape(-1, 2).T
-        return num, den
+    def __post_init__(self):
+        self.b = np.array([math.floor(x) for x in self.b], dtype=np.int64)
+
+    @property
+    def n(self) -> int:
+        return self.H * self.n_v
 
     def value(self, x: np.ndarray) -> float:
         """Objective value of the binary vector x."""
@@ -296,10 +240,9 @@ def _block_tables(chunks, bip: Bip):
     `chunks` yields the candidate controls in lexicographic order; V[t] keeps,
     in order, those meeting every row of A inside block t (rows with no
     nonzero go to block 0).  lhs[t] is each kept control's part of the rows
-    coupling blocks: a trajectory is feasible iff den * sum_t lhs[t] <= num.
+    coupling blocks: a trajectory is feasible iff sum_t lhs[t] <= b there.
     """
-    H, n_v, A = bip.H, bip.n_v, bip.A
-    num, den = bip.rhs_scaled()
+    H, n_v, A, b = bip.H, bip.n_v, bip.A, bip.b
     support = (A != 0).reshape(len(A), H, n_v).any(axis=2)
     coupling = support.sum(axis=1) > 1
     local = [~coupling & (support.argmax(axis=1) == t) for t in range(H)]
@@ -307,9 +250,9 @@ def _block_tables(chunks, bip: Bip):
     V = [[] for _ in blocks]
     for c in chunks:
         for t, (r, bt) in enumerate(zip(local, blocks)):
-            V[t].append(c[(c @ A[r, bt].T * den[r] <= num[r]).all(axis=1)])
+            V[t].append(c[(c @ A[r, bt].T <= b[r]).all(axis=1)])
     V = [np.concatenate(v) for v in V]
-    return V, [v @ A[coupling, bt].T for v, bt in zip(V, blocks)], num[coupling], den[coupling]
+    return V, [v @ A[coupling, bt].T for v, bt in zip(V, blocks)], b[coupling]
 
 
 def _improve(rows: np.ndarray, vals: np.ndarray, best_val: float):
@@ -341,7 +284,7 @@ def solve_bip(bip: Bip) -> BipSolution:
     `nodes` counts the prefixes visited plus the trajectories scored.
     """
     H, n_v, Q = bip.H, bip.n_v, bip.Q
-    V, lhs, num, den = _block_tables(binary_chunks(n_v, SCAN_CHUNK), bip)
+    V, lhs, b = _block_tables(binary_chunks(n_v, SCAN_CHUNK), bip)
     if not all(map(len, V)):
         return BipSolution(None, None, "infeasible", nodes=1)
     lin = [v @ c for v, c in zip(V, bip.cost.reshape(H, n_v))]
@@ -352,9 +295,9 @@ def solve_bip(bip: Bip) -> BipSolution:
     while k > 0 and prod(sizes[k - 1:]) <= SCAN_CHUNK:
         k -= 1
     grid = np.indices(sizes[k:]).reshape(H - k, -1).T
-    glhs = sum(lhs[k + i][grid[:, i]] for i in range(H - k)) * den
+    glhs = sum(lhs[k + i][grid[:, i]] for i in range(H - k))
     # least coupling lhs of blocks t .. H-1
-    min_lhs = np.cumsum([np.zeros_like(num)] + [x.min(axis=0) for x in lhs[::-1]], axis=0)[::-1]
+    min_lhs = np.cumsum([np.zeros_like(b)] + [x.min(axis=0) for x in lhs[::-1]], axis=0)[::-1]
     if Q is None:
         gval = sum(lin[k + i][grid[:, i]] for i in range(H - k))
         min_lin = np.cumsum([0.0] + [x.min() for x in lin[::-1]])[::-1]
@@ -376,7 +319,7 @@ def solve_bip(bip: Bip) -> BipSolution:
         path, head, acc, cond = stack.pop()
         t = len(path)
         bound = min_lin[t] if Q is None else sum(c.min() for c in cond) + min_pair[t]
-        pruned = head + bound >= best_val - OPT_TOL or ((acc + min_lhs[t]) * den > num).any()
+        pruned = head + bound >= best_val - OPT_TOL or (acc + min_lhs[t] > b).any()
         nodes += 1 if pruned or t < k else 1 + len(grid)
         if pruned:
             continue
@@ -392,7 +335,7 @@ def solve_bip(bip: Bip) -> BipSolution:
         else:
             vals = gpair + head + sum(c[grid[:, i]] for i, c in enumerate(cond))
         rows = np.flatnonzero(vals < best_val - OPT_TOL)
-        rows = rows[(glhs[rows] <= num - den * acc).all(axis=1)]
+        rows = rows[(glhs[rows] <= b - acc).all(axis=1)]
         row, best_val = _improve(rows, vals[rows], best_val)
         if row is not None:
             best = path + list(grid[row])
@@ -410,13 +353,12 @@ def solve_bip_exhaustive(bip: Bip) -> BipSolution:
         raise EnumerationLimitError(f"exhaustive solve limited to 20 variables, got {n}")
     if n == 0:
         return BipSolution(np.zeros(0, dtype=np.int8), 0.0, "optimal", nodes=1)
-    num, den = bip.rhs_scaled()
     best_x = None
     best_val = np.inf
     for cand in binary_chunks(n, 1 << 14):
         cand = cand.astype(np.int64)
         lhs = cand @ bip.A.T
-        feas = (lhs * den <= num).all(axis=1)
+        feas = (lhs <= bip.b).all(axis=1)
         vals = cand @ bip.cost
         if bip.Q is not None:
             vals = vals + ((cand @ bip.Q) * cand).sum(axis=1)

@@ -12,7 +12,7 @@ from numbers import Integral
 
 import numpy as np
 
-from .dynamics import check_feasible
+from .dynamics import check_feasible, queue_need
 from .errors import ValidationError
 from .model import Network, count_controls, enumerate_control_set
 # the enumeration oracle is never called here; tracers patch and count it in this module
@@ -119,7 +119,7 @@ class PncPolicy:
         self._memo: dict = {}
 
     def _trajectory(self, q, s) -> tuple:
-        key = (tuple(int(x) for x in q), int(s))
+        key = (tuple(np.asarray(q).tolist()), int(s))
         traj = self._memo.get(key)
         if traj is None:
             sol = solve_bip(build_bip(self.net, self.chain, self.arrivals, q, s, self.H,
@@ -184,17 +184,19 @@ class IdlePolicy:
 
 
 class RandomPolicy:
-    """Uniform choice among the feasible controls; owns its rng stream."""
+    """Uniform choice among the feasible controls, in lexicographic order;
+    owns its rng stream.  The controls already meet C v <= c, so q >= each
+    one's queue need decides the rest."""
 
     def __init__(self, net, rng):
         self.net = net
         self.rng = rng
-        self._controls = enumerate_control_set(net)
+        self._controls = enumerate_control_set(net).astype(np.int64)
+        self._need = queue_need(net, self._controls)
 
     def decide(self, q, s) -> np.ndarray:
-        feasible = [v for v in self._controls if check_feasible(self.net, q, v).ok]
-        pick = int(self.rng.integers(len(feasible)))
-        return np.asarray(feasible[pick], dtype=np.int64)
+        feasible = self._controls[(np.asarray(q) >= self._need).all(axis=1)]
+        return feasible[int(self.rng.integers(len(feasible)))]
 
 
 def make_policy(spec: PolicySpec, net, chain, arrivals, policy_rng=None):

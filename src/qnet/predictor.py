@@ -119,7 +119,7 @@ def build_bip(net: Network, chain: MarkovChain, arrivals: ArrivalProcess,
     else:
         cost, Q = build_objective(net, chain, q0, s, arrivals.rate_float(), H), None
     A, b = build_constraints(net, q0, arrivals.rate, H)
-    return Bip(n=H * net.n_v, n_v=net.n_v, H=H, cost=cost, A=A, b=b, Q=Q)
+    return Bip(n_v=net.n_v, H=H, cost=cost, A=A, b=b, Q=Q)
 
 
 def quadratic_objective(net: Network, chain: MarkovChain, arrivals: ArrivalProcess,

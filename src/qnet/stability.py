@@ -94,23 +94,21 @@ class _RegionProgram:
                 self.cols.append([scale * pi[s] * sum((RW[i][j] for j in on), Fraction(0))
                                   for i in range(net.n_q)])
 
-    def _maximize_first(self, lead: list, rhs: list, bounds: list):
-        """Solve for max y_0 over [y, lambda]; lead[i] holds row i's y coefficients."""
-        n_y, n_lam = len(bounds), len(self.cols)
+    def _solve(self, lead: list, rhs: list, cost: list):
+        """max cost . y over [y, lambda] >= 0; lead[i] holds row i's y coefficients."""
+        n_y, n_lam = len(cost), len(self.cols)
         A_eq = [lead[i] + [c[i] for c in self.cols] for i in range(len(rhs))]
         A_ub = []
         for s in range(self.n_s):
             row = [0] * (n_y + n_lam)
             row[n_y + s * self.n_opt:n_y + (s + 1) * self.n_opt] = [1] * self.n_opt
             A_ub.append(row)
-        return solve_lp(LpProblem(cost=[1] + [0] * (n_y - 1 + n_lam), A_ub=A_ub,
-                                  b_ub=[1] * self.n_s, A_eq=A_eq, b_eq=rhs,
-                                  bounds=bounds + [(0, None)] * n_lam, maximize=True),
-                        exact=True)
+        return solve_lp(LpProblem(cost=cost + [0] * n_lam, A_ub=A_ub, b_ub=[1] * self.n_s,
+                                  A_eq=A_eq, b_eq=rhs), exact=True)
 
     def membership(self, a_bar: list) -> RegionResult:
-        """max eps  s.t.  a_bar + sum lambda col = -eps 1."""
-        sol = self._maximize_first([[1] for _ in a_bar], [-a for a in a_bar], [(None, None)])
+        """max eps  s.t.  a_bar + sum lambda col = -eps 1, with eps = y0 - y1 free."""
+        sol = self._solve([[1, -1] for _ in a_bar], [-a for a in a_bar], [1, -1])
         if sol.status == "infeasible":
             return RegionResult("outside", None)
         if sol.status == "unbounded":
@@ -127,10 +125,9 @@ class _RegionProgram:
         """max r >= 0  s.t.  r ray + eps 1 + sum lambda col = 0 with eps >= EPS_THRESHOLD.
 
         Returns the exact optimum, None when no r >= 0 qualifies, and inf
-        when r is unbounded.
+        when r is unbounded.  The columns are r and y = eps - EPS_THRESHOLD.
         """
-        sol = self._maximize_first([[d, 1] for d in ray], [0] * len(ray),
-                                   [(0, None), (EPS_THRESHOLD, None)])
+        sol = self._solve([[d, 1] for d in ray], [-EPS_THRESHOLD] * len(ray), [1, 0])
         if sol.status == "infeasible":
             return None
         if sol.status == "unbounded":

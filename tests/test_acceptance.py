@@ -122,11 +122,10 @@ def test_criterion_3_objective_validation():
         q_big = [int(x) * 1000 for x in q0]
         bip_big = build_bip(net, chain, arr, q_big, chain.s0, H)
         lin = solve_bip_exhaustive(bip_big)
-        num, den = bip_big.rhs_scaled()
         best_quad, best_traj = None, None
         for bits in product((0, 1), repeat=n):
             x = np.array(bits, dtype=np.int64)
-            if ((bip_big.A @ x) * den > num).any():
+            if (bip_big.A @ x > bip_big.b).any():
                 continue
             val = J(x, q_big, arr)
             if best_quad is None or val < best_quad:

@@ -13,6 +13,7 @@ from qnet.errors import PolicyContractError
 from qnet.markov import validate_chain
 from qnet.model import enumerate_control_set, validate_arrivals, validate_network
 from qnet.policies import IdlePolicy, PolicySpec, RandomPolicy, make_policy
+from qnet.scenarios import scenario_example2
 
 from conftest import random_chain, random_network, zero_arrivals
 
@@ -113,6 +114,35 @@ def test_run_aborts_on_bad_policy():
         run(RELAY, ONE_STATE, zero_arrivals(2), Bad(), 10, make_streams(0))
 
 
+class _Fixed:
+    def __init__(self, v):
+        self.v = np.array(v)
+
+    def decide(self, q, s):
+        return self.v
+
+
+def test_run_rejects_reversed_link():
+    # -1 on the sync link passes C v <= c and positiveness, and would run the
+    # link in reverse: each slot would deliver -2 packets and grow both queues
+    sc = scenario_example2("red")
+    with pytest.raises(PolicyContractError, match="binary violation at index 2") as err:
+        run(sc.net, sc.chain, sc.arrivals, _Fixed([0, 0, -1]), 5, make_streams(1), q0=[3, 3])
+    assert err.value.diagnostic.t == 0 and err.value.diagnostic.v.tolist() == [0, 0, -1]
+
+
+def test_run_rejects_non_binary_without_constituency_rows():
+    # no row of C bounds v, and q covers the drain of 2: only the 0/1 rule rejects it
+    net = validate_network({"R": [[-1, 0], [1, -1]], "W": [[1.0, 1.0]]})
+    assert net.C.shape == (0, 2)
+    with pytest.raises(PolicyContractError, match="binary violation at index 0"):
+        run(net, ONE_STATE, zero_arrivals(2), _Fixed([2, 0]), 5, make_streams(0), q0=[5, 5])
+    for v in ([0.5, 0], [1, 0, 0], [1]):
+        res = check_feasible(net, [5, 5], v)
+        assert not res.ok and res.family == "binary"
+    assert check_feasible(net, [5, 5], [1.0, 1.0]).ok
+
+
 def test_nonnegativity_and_masking_random_runs(rng):
     for _ in range(20):
         net = random_network(rng)
@@ -207,6 +237,9 @@ def test_sigma0_start_state_is_drawn():
 def _per_family_check(net, q, v):
     """Feasibility one family at a time, source requirements link by link."""
     v = np.asarray(v)
+    for j, x in enumerate(v):
+        if x not in (0, 1):
+            return False, "binary", j
     over = net.C @ v > net.c
     if over.any():
         return False, "constituency", int(np.argmax(over))
@@ -234,7 +267,7 @@ def test_check_feasible_matches_per_family_check(rng):
             res = check_feasible(net, q, v)
             assert (res.ok, res.family, res.index) == _per_family_check(net, q, v)
             families.add(res.family)
-    assert families == {None, "constituency", "positiveness", "source"}
+    assert families == {None, "binary", "constituency", "positiveness", "source"}
 
 
 def _scalar_run(net, chain, arrivals, policy, slots, streams):

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from qnet.errors import ValidationError
-from qnet.markov import propagate, sample_next, stationary, validate_chain
+from qnet.markov import next_states, propagate, sample_next, stationary, validate_chain
 
 P2 = np.array([[0.5, 0.5], [0.2, 0.8]])
 CYCLE3 = np.array([[0.0, 1.0, 0.0], [0.0, 0.0, 1.0], [1.0, 0.0, 0.0]])
@@ -80,19 +80,17 @@ def test_sample_next_degenerate():
 
 def test_sample_next_statistics():
     # one long run serves both checks: one-step frequencies from a fixed row
-    # and long-run occupation vs the stationary distribution
+    # and long-run occupation vs the stationary distribution.  next_states
+    # maps a batch of uniforms as sample_next maps them one draw at a time,
+    # and a batch of uniforms equals the scalar draws bit for bit
     rng = np.random.default_rng(99)
-    row_p = np.array([[0.3, 0.7], [0.3, 0.7]])
-    hits = sum(sample_next(0, row_p, rng) == 0 for _ in range(10**6))
+    row_p = np.array([[0.3, 0.7], [0.3, 0.7]])   # equal rows: every step is from row 0
+    hits = next_states(0, row_p, rng.random(10**6)).count(0)
     assert abs(hits / 10**6 - 0.3) < 0.005
 
     rng = np.random.default_rng(7)
     pi = stationary(P2)
-    counts = np.zeros(2)
-    s = 0
-    for _ in range(10**6):
-        s = sample_next(s, P2, rng)
-        counts[s] += 1
+    counts = np.bincount(next_states(0, P2, rng.random(10**6)), minlength=2)
     freq = counts / counts.sum()
     se = np.sqrt(pi * (1 - pi) / 10**6)
     assert (np.abs(freq - pi) < 3 * se + 5e-4).all()

@@ -22,11 +22,11 @@ def _random_bip(rng, n=None):
     A = rng.integers(-2, 3, size=(m, n)).astype(np.int64)
     b = [int(x) for x in rng.integers(-1, 6, size=m)]
     cost = rng.integers(-64, 65, size=n) / 256.0
-    return Bip(n=n, n_v=n, H=1, cost=cost, A=A, b=b)
+    return Bip(n_v=n, H=1, cost=cost, A=A, b=b)
 
 
 def test_lp_trivial_bound():
-    sol = solve_lp(LpProblem(cost=[1], A_ub=[[1]], b_ub=[1], maximize=True))
+    sol = solve_lp(LpProblem(cost=[1], A_ub=[[1]], b_ub=[1]))
     assert sol.status == "optimal" and sol.value == 1
 
 
@@ -38,22 +38,22 @@ def test_lp_exact_only():
 def test_lp_numpy_scalars_stay_exact():
     # a Fraction built from np.int64 keeps it as its numerator: 2^62 * 4
     # would wrap to 0 with only a RuntimeWarning
-    sol = solve_lp(LpProblem(cost=[np.int64(4)], A_ub=[[np.int64(1)]], b_ub=[np.int64(2**62)],
-                             maximize=True))
+    sol = solve_lp(LpProblem(cost=[np.int64(4)], A_ub=[[np.int64(1)]], b_ub=[np.int64(2**62)]))
     assert sol.status == "optimal" and sol.value == 2**64
     assert type(sol.value.numerator) is int and type(sol.x[0].numerator) is int
 
 
 def test_lp_statuses():
     assert solve_lp(LpProblem(cost=[1], A_ub=[[0]], b_ub=[-1])).status == "infeasible"
-    assert solve_lp(LpProblem(cost=[-1])).status == "unbounded"
+    assert solve_lp(LpProblem(cost=[1])).status == "unbounded"
 
 
 def test_lp_exact_equalities():
-    # max e  s.t.  e + l = -1/2, l >= 0  ->  e = -1/2 at l = 0
-    sol = solve_lp(LpProblem(cost=[1, 0], A_eq=[[1, 1]], b_eq=[Fraction(-1, 2)],
-                             bounds=[(None, None), (0, None)], maximize=True), exact=True)
+    # max e  s.t.  e + l = -1/2, l >= 0, e free as e' - e''  ->  e = -1/2 at l = 0
+    sol = solve_lp(LpProblem(cost=[1, -1, 0], A_eq=[[1, -1, 1]], b_eq=[Fraction(-1, 2)]),
+                   exact=True)
     assert sol.status == "optimal" and sol.value == Fraction(-1, 2)
+    assert sol.x[0] - sol.x[1] == Fraction(-1, 2) and sol.x[2] == 0
 
 
 def test_lp_matches_scipy_on_random_instances(rng):
@@ -63,29 +63,64 @@ def test_lp_matches_scipy_on_random_instances(rng):
         A = rng.integers(-3, 4, size=(m, n)).astype(float)
         b = rng.integers(0, 7, size=m).astype(float)
         cost = rng.integers(-8, 9, size=n).astype(float)
-        mine = solve_lp(LpProblem(cost=list(cost), A_ub=A.tolist(), b_ub=list(b),
-                                  bounds=[(0, 1)] * n))
+        # min cost.x over 0 <= x <= 1 is max -cost.x with the rows x <= 1 appended
+        mine = solve_lp(LpProblem(cost=list(-cost), A_ub=A.tolist() + np.eye(n).tolist(),
+                                  b_ub=list(b) + [1] * n))
         ref = scipy_opt.linprog(cost, A_ub=A, b_ub=b, bounds=[(0, 1)] * n, method="highs")
         assert mine.status == "optimal" and ref.status == 0
-        assert abs(mine.value - ref.fun) < 1e-7
+        assert abs(-mine.value - ref.fun) < 1e-7
+
+
+def test_lp_equalities_match_scipy(rng):
+    # equality rows, one of them duplicated (phase 1 leaves its artificial
+    # basic on an all-zero row, which is dropped), and a free variable z as
+    # the columns z' - z'' (the last two); feasible by construction at x0
+    for _ in range(120):
+        n = int(rng.integers(1, 5))
+        m_ub, m_eq = int(rng.integers(0, 4)), int(rng.integers(1, 4))
+        A_ub = rng.integers(-3, 4, size=(m_ub, n + 1))
+        A_eq = rng.integers(-3, 4, size=(m_eq, n + 1))
+        A_eq = np.vstack([A_eq, A_eq[int(rng.integers(m_eq))]])
+        x0 = np.append(rng.integers(0, 3, size=n), rng.integers(-3, 4))
+        b_ub = A_ub @ x0 + rng.integers(0, 3, size=m_ub)
+        b_eq = A_eq @ x0
+        # |z| <= 3 and x <= 2 keep the optimum finite
+        box = np.vstack([np.eye(n + 1), -np.eye(n + 1)[n:]]).astype(int)
+        A_ub = np.vstack([A_ub, box])
+        b_ub = np.append(b_ub, [2] * n + [3, 3])
+        cost = rng.integers(-8, 9, size=n + 1)
+
+        def split(A):   # z's column followed by its negation
+            return np.hstack([A, -A[:, n:]]).tolist()
+
+        mine = solve_lp(LpProblem(cost=list(cost) + [-cost[n]], A_ub=split(A_ub),
+                                  b_ub=b_ub.tolist(), A_eq=split(A_eq), b_eq=b_eq.tolist()))
+        ref = scipy_opt.linprog(-cost, A_ub=A_ub, b_ub=b_ub, A_eq=A_eq, b_eq=b_eq,
+                                bounds=[(0, None)] * n + [(None, None)], method="highs")
+        assert mine.status == "optimal" and ref.status == 0
+        assert abs(mine.value + ref.fun) < 1e-7
+        x = np.array(mine.x, dtype=object)
+        assert all(xj >= 0 for xj in x)
+        assert (np.array(split(A_eq), dtype=object) @ x == b_eq).all()
+        assert (np.array(split(A_ub), dtype=object) @ x <= b_ub).all()
 
 
 def test_bip_idle_optimum():
-    bip = Bip(n=3, n_v=3, H=1, cost=np.array([0.5, 0.0, 0.25]),
+    bip = Bip(n_v=3, H=1, cost=np.array([0.5, 0.0, 0.25]),
               A=np.array([[1, 1, 1]], dtype=np.int64), b=[2])
     sol = solve_bip(bip)
     assert sol.status == "optimal" and sol.x.tolist() == [0, 0, 0] and sol.value == 0.0
 
 
 def test_bip_infeasible():
-    bip = Bip(n=2, n_v=2, H=1, cost=np.zeros(2),
+    bip = Bip(n_v=2, H=1, cost=np.zeros(2),
               A=np.array([[0, 0]], dtype=np.int64), b=[-1])
     assert solve_bip(bip).status == "infeasible"
     assert solve_bip_exhaustive(bip).status == "infeasible"
 
 
 def test_bip_empty():
-    bip = Bip(n=0, n_v=0, H=1, cost=np.zeros(0), A=np.zeros((0, 0), dtype=np.int64), b=[])
+    bip = Bip(n_v=0, H=1, cost=np.zeros(0), A=np.zeros((0, 0), dtype=np.int64), b=[])
     for sol in (solve_bip(bip), solve_bip_exhaustive(bip)):
         assert sol.status == "optimal" and sol.value == 0.0 and len(sol.x) == 0
 
@@ -102,7 +137,7 @@ def test_bip_matches_exhaustive(rng):
 
 def test_lexicographic_tie_break():
     # both singletons cost the same; the later column wins lexicographically
-    bip = Bip(n=2, n_v=2, H=1, cost=np.array([-1.0, -1.0]),
+    bip = Bip(n_v=2, H=1, cost=np.array([-1.0, -1.0]),
               A=np.array([[1, 1]], dtype=np.int64), b=[1])
     assert solve_bip(bip).x.tolist() == [0, 1]
     assert solve_bip_exhaustive(bip).x.tolist() == [0, 1]
@@ -114,12 +149,12 @@ def test_relaxation_lower_bounds_binary(rng):
         binary = solve_bip(bip)
         if binary.status != "optimal":
             continue
-        relax = solve_lp(LpProblem(cost=list(bip.cost),
-                                   A_ub=[list(r) for r in bip.A],
-                                   b_ub=bip.b,
-                                   bounds=[(0, 1)] * bip.n))
+        # min cost.x over 0 <= x <= 1: max -cost.x with the rows x <= 1 appended
+        relax = solve_lp(LpProblem(cost=list(-bip.cost),
+                                   A_ub=[list(r) for r in bip.A] + np.eye(bip.n).tolist(),
+                                   b_ub=list(bip.b) + [1] * bip.n))
         assert relax.status == "optimal"
-        assert relax.value <= binary.value + 1e-9
+        assert -relax.value <= binary.value + 1e-9
 
 
 def test_bip_deterministic_and_node_capped(rng):
@@ -133,14 +168,14 @@ def test_bip_deterministic_and_node_capped(rng):
 
 
 def test_exhaustive_guard():
-    bip = Bip(n=21, n_v=21, H=1, cost=np.zeros(21), A=np.zeros((0, 21), dtype=np.int64), b=[])
+    bip = Bip(n_v=21, H=1, cost=np.zeros(21), A=np.zeros((0, 21), dtype=np.int64), b=[])
     with pytest.raises(EnumerationLimitError):
         solve_bip_exhaustive(bip)
 
 
 def test_fractional_rhs_exact():
     # x1 + x2 <= 3/2 admits exactly one active variable
-    bip = Bip(n=2, n_v=2, H=1, cost=np.array([-1.0, -0.5]),
+    bip = Bip(n_v=2, H=1, cost=np.array([-1.0, -0.5]),
               A=np.array([[1, 1]], dtype=np.int64), b=[Fraction(3, 2)])
     assert solve_bip(bip).x.tolist() == [1, 0]
 
@@ -181,7 +216,7 @@ def test_block_search_generic_coupled_rows(rng, monkeypatch, chunk):
         A = rng.integers(-2, 3, size=(m, n)).astype(np.int64)
         b = [Fraction(int(x), int(d)) for x, d in zip(rng.integers(-2, 6, size=m),
                                                      rng.integers(1, 4, size=m))]
-        bip = Bip(n=n, n_v=n_v, H=H, cost=rng.integers(-4, 5, size=n) / 4.0, A=A, b=b)
+        bip = Bip(n_v=n_v, H=H, cost=rng.integers(-4, 5, size=n) / 4.0, A=A, b=b)
         s1, s2 = solve_bip(bip), solve_bip_exhaustive(bip)
         statuses.add(s1.status)
         assert s1.status == s2.status
@@ -192,7 +227,7 @@ def test_block_search_generic_coupled_rows(rng, monkeypatch, chunk):
 
 def test_block_search_coupled_example():
     # two blocks of two links; u0 + u2 <= 1 and u1 - u3 >= 0 couple them
-    bip = Bip(n=4, n_v=2, H=2, cost=np.array([-1.0, -1.0, -2.0, -1.5]),
+    bip = Bip(n_v=2, H=2, cost=np.array([-1.0, -1.0, -2.0, -1.5]),
               A=np.array([[1, 0, 1, 0], [0, -1, 0, 1], [1, 1, 0, 0]], dtype=np.int64),
               b=[1, 0, 1])
     sol = solve_bip(bip)
@@ -202,7 +237,7 @@ def test_block_search_coupled_example():
 
 def test_block_search_limit():
     # raised before any of the 2^25 controls of the block are listed
-    bip = Bip(n=25, n_v=25, H=1, cost=np.zeros(25), A=np.zeros((0, 25), dtype=np.int64), b=[])
+    bip = Bip(n_v=25, H=1, cost=np.zeros(25), A=np.zeros((0, 25), dtype=np.int64), b=[])
     with pytest.raises(EnumerationLimitError):
         solve_bip(bip)
 
@@ -232,7 +267,7 @@ def test_quadratic_scan_matches_enumeration(rng, monkeypatch, chunk):
             val = cost @ u + u @ Q @ u
             if val < best_val - 1e-9:
                 best, best_val = u, val
-        bip = Bip(n=n, n_v=net.n_v, H=H, cost=cost, A=A, b=b, Q=Q)
+        bip = Bip(n_v=net.n_v, H=H, cost=cost, A=A, b=b, Q=Q)
         sol = solve_bip(bip)
         assert sol.status == "optimal"
         assert sol.x.tolist() == best.tolist()

@@ -6,8 +6,8 @@ import pytest
 from qnet.dynamics import check_feasible, make_streams, run
 from qnet.markov import validate_chain
 from qnet.model import enumerate_control_set, validate_arrivals, validate_network
-from qnet.policies import (FpncPolicy, MwPolicy, PncPolicy, PolicySpec, make_policy,
-                           repair_control)
+from qnet.policies import (FpncPolicy, MwPolicy, PncPolicy, PolicySpec, RandomPolicy,
+                           make_policy, repair_control)
 from qnet.predictor import build_bip
 from qnet.optim import solve_bip
 from qnet.errors import ValidationError
@@ -248,3 +248,26 @@ def test_quadratic_policies_feasible():
         policy = make_policy(spec, sc.net, sc.chain, sc.arrivals)
         trace = run(sc.net, sc.chain, sc.arrivals, policy, slots, make_streams(4))
         assert trace.slots == slots  # run() itself verifies feasibility per step
+
+
+def test_random_policy_mask_matches_check_feasible(rng):
+    # copy links and extra source requirements make some controls need a
+    # queue the positiveness rows do not ask for
+    for _ in range(60):
+        net = random_network(rng, allow_copy=True)
+        raw = net.to_json()
+        raw["S_req"] = (rng.random((net.n_q, net.n_v)) < 0.3).astype(int).tolist()
+        net = validate_network(raw)
+        policy = RandomPolicy(net, np.random.default_rng(0))
+        V = enumerate_control_set(net)
+        for _ in range(20):
+            q = rng.integers(0, 3, size=net.n_q)
+            mask = (q >= policy._need).all(axis=1)
+            assert mask.tolist() == [check_feasible(net, q, v).ok for v in V]
+            # the pick is the same draw among the same controls, in order
+            seed = int(rng.integers(1 << 30))
+            feasible = [v for v in V if check_feasible(net, q, v).ok]
+            expect = feasible[int(np.random.default_rng(seed).integers(len(feasible)))]
+            policy.rng = np.random.default_rng(seed)
+            got = policy.decide(q, 0)
+            assert got.dtype == np.int64 and got.tolist() == expect.tolist()
