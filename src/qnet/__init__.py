@@ -19,8 +19,7 @@ from .optim import Bip, BipSolution, LpProblem, LpSolution, solve_bip, solve_lp
 from .policies import (FpncPolicy, IdlePolicy, MwPolicy, PncPolicy, PolicySpec,
                        RandomPolicy, make_policy)
 from .predictor import (build_bip, build_constraints, build_objective,
-                        expected_weights_horizon, quadratic_objective,
-                        quadratic_objective_oracle)
+                        quadratic_objective)
 from .scenarios import (Scenario, builtin_scenario, load_scenario,
                         scenario_example1, scenario_example2, validate_scenario)
 from .stability import (RegionQuery, RegionResult, StabilityVerdict,

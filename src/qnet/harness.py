@@ -106,6 +106,9 @@ def region_rows(scenario: Scenario, option_set: str = "full",
     if net.n_v > MAX_BINARY_BITS:
         raise ValidationError("network.R", "region sweeps list the binary controls of at most "
                                            f"{MAX_BINARY_BITS} links, got {net.n_v}")
+    if net.n_s != 1:
+        raise ValidationError("chain.P", "region sweeps need stationary weights, which are "
+                                         f"not derived yet for {net.n_s} chain states")
     options = None
     if option_set == "mw":
         options = mw_accessible_options(net)

@@ -145,9 +145,12 @@ def repair_control(net: Network, q, v) -> np.ndarray:
     """Switch off links violating feasibility at the realized state.
 
     Used by the fixed-trajectory policy when a precomputed block meets a
-    shortfall the mean-arrival prediction did not anticipate.
+    shortfall the mean-arrival prediction did not anticipate.  A control
+    whose length is not n_v cannot be repaired and raises `ValueError`.
     """
     v = np.asarray(v, dtype=np.int64).copy()
+    if v.shape != (net.n_v,):
+        raise ValueError(f"control must hold {net.n_v} links, got shape {v.shape}")
     while True:
         res = check_feasible(net, q, v)
         if res.ok:
@@ -156,7 +159,7 @@ def repair_control(net: Network, q, v) -> np.ndarray:
             v[(net.C[res.index] > 0) & (v == 1)] = 0
         elif res.family == "positiveness":
             v[(net.R_minus[res.index] < 0) & (v == 1)] = 0
-        else:  # source
+        else:  # binary (an entry other than 0 and 1) or source: drop that link
             v[res.index] = 0
 
 

@@ -15,11 +15,12 @@ from qnet.harness import run_experiment, run_one
 from qnet.model import enumerate_control_set
 from qnet.optim import solve_bip, solve_bip_exhaustive
 from qnet.policies import MwPolicy, PncPolicy, PolicySpec, RandomPolicy
-from qnet.predictor import build_bip, quadratic_objective_oracle
+from qnet.predictor import build_bip
 from qnet.scenarios import scenario_example1, scenario_example2
 from qnet.stability import RegionQuery, mw_accessible_options, region_membership
 
 from conftest import random_arrivals, random_chain, random_network, zero_arrivals
+from oracles import quadratic_objective_oracle
 
 
 def report(num: int, ok: bool, desc: str, detail: str = ""):

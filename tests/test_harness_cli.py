@@ -200,18 +200,31 @@ TWO_QUEUE_WIDE = {"name": "wide", "network": {"R": [[-1] * 25, [0] * 25], "C": [
                   "policies": [{"kind": "IDLE"}], "slots": 10, "seed": 1}
 
 
-@pytest.mark.parametrize("scenario", ["example1", "wide"])
+TWO_QUEUE_TWO_STATE = {"name": "two-state",
+                       "network": {"R": [[-1, 0], [1, -1]], "C": [[1, 1]], "c": [1],
+                                   "W": [[0.5, 1.0], [0.5, 0.0]]},
+                       "chain": {"P": [[0.9, 0.1], [0.1, 0.9]], "s0": 0},
+                       "arrivals": {"kind": "constant", "value": [0, 0]},
+                       "policies": [{"kind": "IDLE"}], "slots": 10, "seed": 1}
+UNMAPPABLE = {"wide": (TWO_QUEUE_WIDE, "network.R"),
+              "two-state": (TWO_QUEUE_TWO_STATE, "chain.P")}
+
+
+@pytest.mark.parametrize("scenario", ["example1", "wide", "two-state"])
 def test_cli_region_rejects_unmappable_networks(tmp_path, capsys, scenario):
     # example1 has four queues; the wide network has more links than any
-    # control enumeration lists
-    if scenario == "wide":
-        path = tmp_path / "wide.json"
-        path.write_text(json.dumps(TWO_QUEUE_WIDE))
+    # control enumeration lists; the two-state chain's region would need
+    # stationary weights
+    field = "network.R"
+    if scenario in UNMAPPABLE:
+        doc, field = UNMAPPABLE[scenario]
+        path = tmp_path / f"{scenario}.json"
+        path.write_text(json.dumps(doc))
         assert main(["validate", str(path)]) == 0
         scenario = str(path)
     out = tmp_path / "out"
     assert main(["region", scenario, "--out", str(out)]) == 2
-    assert "network.R:" in capsys.readouterr().err
+    assert f"{field}:" in capsys.readouterr().err
     assert not out.exists()
 
 

@@ -152,6 +152,13 @@ def test_repair_drops_violating_links():
     assert repair_control(net, [0, 2], [0, 1, 0]).tolist() == [0, 0, 0]
     # feasible controls pass through untouched
     assert repair_control(net, [5, 1], [0, 0, 1]).tolist() == [0, 0, 1]
+    # no entry to drop makes a short or long control feasible
+    for v in ([0, 1], [0, 0, 0, 1], [[0, 0, 1]]):
+        with pytest.raises(ValueError, match="control must hold 3 links"):
+            repair_control(net, [3, 3], v)
+    # an entry other than 0 or 1 is dropped like any violating link
+    assert repair_control(net, [0, 0], [0, 0, 2]).tolist() == [0, 0, 0]
+    assert repair_control(net, [3, 3], [0, -1, 1]).tolist() == [0, 0, 1]
 
 
 def test_policies_always_feasible(rng):

@@ -1,17 +1,18 @@
 """Horizon objective, stacked constraints, and the exact quadratic oracle."""
 
+import math
+
 import numpy as np
 import pytest
 from fractions import Fraction
 from itertools import product
 
-from qnet.markov import validate_chain
+from qnet.markov import propagate, validate_chain
 from qnet.model import validate_arrivals, validate_network, enumerate_control_set
-from qnet.predictor import (build_constraints, build_objective, build_bip,
-                            expected_weights_horizon, quadratic_objective,
-                            quadratic_objective_oracle)
+from qnet.predictor import build_constraints, build_objective, quadratic_objective
 
 from conftest import random_arrivals, random_chain, random_network, zero_arrivals
+from oracles import quadratic_objective_oracle
 
 RELAY = validate_network({"R": [[-1, 0], [1, -1]], "C": [[0, 0]], "c": [1],
                           "W": [[1.0, 1.0]]})
@@ -23,24 +24,30 @@ def _feasible(A, b, x):
     return all(Fraction(int(l)) <= Fraction(r) for l, r in zip(lhs, b))
 
 
+def _expected_weights(chain, W, s, H):
+    """What_0 .. What_{H-1} as rows: sigma_t W with sigma_t = e_s P^t."""
+    start = np.eye(chain.n_s)[s]
+    return np.array([propagate(start, chain.P, t) @ W for t in range(H)])
+
+
 def test_expected_weights_single_state():
     W = np.array([[0.25, 0.75]])
     chain = validate_chain({"P": [[1.0]], "s0": 0})
-    assert np.allclose(expected_weights_horizon(chain, W, 0, 4), [[0.25, 0.75]] * 4)
+    assert np.allclose(_expected_weights(chain, W, 0, 4), [[0.25, 0.75]] * 4)
 
 
 def test_expected_weights_identity_chain():
     W = np.array([[0.25, 0.75], [1.0, 0.0]])
     chain = validate_chain({"P": [[1.0, 0.0], [0.0, 1.0]], "s0": 1})
-    assert np.allclose(expected_weights_horizon(chain, W, 1, 4), [[1.0, 0.0]] * 4)
+    assert np.allclose(_expected_weights(chain, W, 1, 4), [[1.0, 0.0]] * 4)
 
 
 def test_expected_weights_alternating_chain():
     # a 0/1 chain from a single state stays exact, slot by slot
     W = np.array([[1.0, 0.0], [0.0, 1.0]])
     chain = validate_chain({"P": [[0.0, 1.0], [1.0, 0.0]], "s0": 0})
-    assert expected_weights_horizon(chain, W, 0, 3).tolist() == [[1.0, 0.0], [0.0, 1.0],
-                                                                 [1.0, 0.0]]
+    assert _expected_weights(chain, W, 0, 3).tolist() == [[1.0, 0.0], [0.0, 1.0],
+                                                          [1.0, 0.0]]
 
 
 def test_objective_h1_formula(rng):
@@ -68,7 +75,7 @@ def test_objective_block_coefficients(rng):
     H = 4
     q0 = rng.integers(0, 5, size=net.n_q)
     a = random_arrivals(rng, net.n_q).rate_float()
-    What = expected_weights_horizon(chain, net.W, chain.s0, H)
+    What = _expected_weights(chain, net.W, chain.s0, H)
     cost = build_objective(net, chain, q0, chain.s0, a, H)
     for t in range(H):
         lead = 2 * (H - t) * q0 + (H + 1 + t) * (H - t) * a
@@ -126,6 +133,10 @@ def test_positiveness_soundness(rng):
         rate = random_arrivals(rng, net.n_q).rate
         A, b = build_constraints(net, q0, rate, H)
         n_c, n_pos = _row_families(net, H)
+        # every bound is a Python int; positiveness bounds are floored exactly
+        assert all(type(r) is int for r in b)
+        assert b[n_c:n_c + n_pos] == [math.floor(int(q0[i]) + t * rate[i])
+                                      for t in range(H) for i in range(net.n_q)]
         A, b = A[:n_c + n_pos], b[:n_c + n_pos]    # without the source gates
         for _ in range(20):
             x = rng.integers(0, 2, size=H * net.n_v)
@@ -235,7 +246,8 @@ def test_quadratic_closed_form_matches_oracle(rng):
 
 
 def test_quadratic_linear_part_is_surrogate(rng):
-    # for iid arrivals the closed form's linear part is the surrogate cost
+    # for iid arrivals the closed form's linear part is the surrogate cost,
+    # bit for bit: both come from one computation
     for _ in range(50):
         net = random_network(rng, allow_copy=True)
         chain = random_chain(rng, net.n_s)
@@ -244,4 +256,4 @@ def test_quadratic_linear_part_is_surrogate(rng):
         q0 = rng.integers(0, 6, size=net.n_q)
         cost, Q = quadratic_objective(net, chain, arr, q0, chain.s0, H)
         surrogate = build_objective(net, chain, q0, chain.s0, arr.rate_float(), H)
-        assert np.abs(cost - surrogate).max() < 1e-9
+        assert np.array_equal(cost, surrogate)
