@@ -195,6 +195,19 @@ class _Records(Sequence):
                           int(tr.D[t]))
 
 
+def _initial_queues(net: Network, q0) -> np.ndarray:
+    """q0 as a new int64 vector; anything but n_q nonnegative integers raises
+    `ValueError`."""
+    if q0 is None:
+        return np.zeros(net.n_q, dtype=np.int64)
+    raw = np.asarray(q0)
+    if not (raw.shape == (net.n_q,) and raw.dtype.kind in "iuf"
+            and np.all(np.isfinite(raw) & (raw >= 0) & (raw == np.floor(raw)))):
+        raise ValueError(f"initial queue state must be {net.n_q} nonnegative integers, "
+                         f"got {q0!r}")
+    return raw.astype(np.int64)
+
+
 def run(net: Network, chain: MarkovChain, arrivals: ArrivalProcess, policy,
         slots: int, streams: RngStreams, q0=None) -> Trace:
     """Drive the network for `slots` slots under `policy`.
@@ -207,9 +220,7 @@ def run(net: Network, chain: MarkovChain, arrivals: ArrivalProcess, policy,
     attached.  Identical inputs, streams seeded alike, reproduce the trace
     bit for bit.
     """
-    q = np.zeros(net.n_q, dtype=np.int64) if q0 is None else np.asarray(q0, dtype=np.int64).copy()
-    if (q < 0).any():
-        raise ValueError("initial queue state must be nonnegative")
+    q = _initial_queues(net, q0)
     # a sigma0 start state takes one chain-stream uniform; a fixed s0 takes none
     s = chain.s0 if chain.s0 is not None else sample_next(0, chain.sigma0[None, :], streams.chain)
     path = [s] + next_states(s, chain.P, streams.chain.random(slots).tolist())

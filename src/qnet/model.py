@@ -174,7 +174,8 @@ def enumerate_control_set(net: Network) -> np.ndarray:
 
     Returns an array of shape (num_controls, n_v).
     """
-    return np.concatenate(list(_control_chunks(net)), axis=0)
+    chunks = list(_control_chunks(net))
+    return chunks[0] if len(chunks) == 1 else np.concatenate(chunks, axis=0)
 
 
 def count_controls(net: Network) -> int:

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from fractions import Fraction
 from itertools import combinations
 from math import prod
@@ -182,25 +183,36 @@ def solve_lp(problem: LpProblem, exact: bool = True) -> LpSolution:
 # Binary linear programs
 
 
-@dataclass
 class Bip:
     """min cost.u + u'Qu  s.t.  A u <= b,  u in {0,1}^n, with H blocks of n_v vars.
 
-    A is integer, and b is given as ints or Fractions and stored floored, as
+    A is integer, and b is given as ints or Fractions and read floored, as
     int64: A u is an integer, so A u <= b exactly when A u <= floor(b).  The
     cost is floating point with a 1e-9 optimality tolerance.  Q is None for
     a linear objective.
+
+    A trajectory program from the predictor gives `solve_bip` its `blocks`
+    ready made, and its dense rows as `rows`, a function returning (A, b)
+    that runs when A or b is first read.
     """
 
-    n_v: int
-    H: int
-    cost: np.ndarray
-    A: np.ndarray
-    b: np.ndarray
-    Q: np.ndarray | None = None
+    def __init__(self, n_v: int, H: int, cost: np.ndarray, A=None, b=None, Q=None, *,
+                 blocks: BlockTables | None = None, rows=None):
+        self.n_v, self.H, self.cost, self.Q, self.blocks = n_v, H, cost, Q, blocks
+        self._rows = rows if rows is not None else lambda: (A, b)
 
-    def __post_init__(self):
-        self.b = np.array([math.floor(x) for x in self.b], dtype=np.int64)
+    @cached_property
+    def _dense(self):
+        A, b = self._rows()
+        return A, np.array([math.floor(x) for x in b], dtype=np.int64)
+
+    @property
+    def A(self) -> np.ndarray:
+        return self._dense[0]
+
+    @property
+    def b(self) -> np.ndarray:
+        return self._dense[1]
 
     @property
     def n(self) -> int:
@@ -234,13 +246,73 @@ def binary_chunks(n: int, size: int):
         yield (np.arange(start, min(start + size, 1 << n))[:, None] >> shifts & 1).astype(np.int8)
 
 
-def _block_tables(chunks, bip: Bip):
-    """Per-block controls V[t] and coupling-row tables lhs[t] for A u <= b.
+@dataclass(frozen=True)
+class BlockTables:
+    """The constraints and quadratic term of a trajectory program, as the
+    block search reads them.
 
-    `chunks` yields the candidate controls in lexicographic order; V[t] keeps,
-    in order, those meeting every row of A inside block t (rows with no
-    nonzero go to block 0).  lhs[t] is each kept control's part of the rows
-    coupling blocks: a trajectory is feasible iff sum_t lhs[t] <= b there.
+    V[t] holds block t's candidate controls in lexicographic order; `first`
+    masks those allowed in block 0 (None allows all).  lhs[t] is each
+    candidate's part of the rows coupling blocks, whose bounds are b: a
+    trajectory is feasible iff sum_t lhs[t] <= b.  Blocks k .. H-1 form one
+    lexicographic grid of candidate indices, with summed lhs `glhs`, and
+    min_lhs[t] is the least lhs of blocks t .. H-1.  With a quadratic term,
+    qlin[t] is each candidate's u'Qu inside block t, pair[t, r] the cross
+    terms of blocks t < r, gpair their sum over the grid's blocks, and
+    min_pair[t] the least pair entries summed over blocks t .. H-1.
+    """
+
+    V: list
+    lhs: list
+    b: np.ndarray | None
+    first: np.ndarray | None
+    k: int
+    grid: np.ndarray
+    glhs: np.ndarray
+    min_lhs: np.ndarray
+    qlin: list | None = None
+    pair: dict | None = None
+    gpair: np.ndarray | int = 0
+    min_pair: list | None = None
+
+
+def block_tables(V: list, lhs: list, Q=None, b=None) -> BlockTables:
+    """Tables over nonempty candidate lists V[t] and their coupling parts lhs[t].
+
+    The grid takes the most trailing blocks whose candidates multiply to at
+    most SCAN_CHUNK rows, and at least the last block; SCAN_CHUNK is read
+    here, when the tables are built.
+    """
+    H, n_v = len(V), V[0].shape[1]
+    sizes = [len(v) for v in V]
+    k = H - 1
+    while k > 0 and prod(sizes[k - 1:]) <= SCAN_CHUNK:
+        k -= 1
+    grid = np.indices(sizes[k:]).reshape(H - k, -1).T
+    glhs = sum(lhs[k + i][grid[:, i]] for i in range(H - k))
+    min_lhs = [np.zeros(lhs[0].shape[1], dtype=np.int64)]   # built from the back
+    for x in reversed(lhs):
+        min_lhs.append(min_lhs[-1] + x.min(axis=0))
+    min_lhs.reverse()
+    if Q is None:
+        return BlockTables(V, lhs, b, None, k, grid, glhs, min_lhs)
+    bt = [slice(t * n_v, (t + 1) * n_v) for t in range(H)]
+    qlin = [np.einsum("ai,ij,aj->a", v, Q[s, s], v) for v, s in zip(V, bt)]
+    pair = {(t, r): V[t] @ (Q[bt[t], bt[r]] + Q[bt[r], bt[t]].T) @ V[r].T
+            for t, r in combinations(range(H), 2)}
+    gpair = sum(pair[k + i, k + j][grid[:, i], grid[:, j]]
+                for i, j in combinations(range(H - k), 2))
+    min_pair = [sum(pair[p].min() for p in combinations(range(t, H), 2)) for t in range(H)]
+    return BlockTables(V, lhs, b, None, k, grid, glhs, min_lhs, qlin, pair, gpair, min_pair)
+
+
+def _block_tables(bip: Bip) -> BlockTables | None:
+    """Tables of a program given by its dense rows A u <= b, or None when some
+    block has no control meeting its own rows.
+
+    Block t's candidates are the binary controls, listed SCAN_CHUNK at a
+    time, meeting every row of A inside block t (rows with no nonzero go to
+    block 0); the other rows couple blocks.
     """
     H, n_v, A, b = bip.H, bip.n_v, bip.A, bip.b
     support = (A != 0).reshape(len(A), H, n_v).any(axis=2)
@@ -248,11 +320,14 @@ def _block_tables(chunks, bip: Bip):
     local = [~coupling & (support.argmax(axis=1) == t) for t in range(H)]
     blocks = [slice(t * n_v, (t + 1) * n_v) for t in range(H)]
     V = [[] for _ in blocks]
-    for c in chunks:
+    for c in binary_chunks(n_v, SCAN_CHUNK):
         for t, (r, bt) in enumerate(zip(local, blocks)):
             V[t].append(c[(c @ A[r, bt].T <= b[r]).all(axis=1)])
     V = [np.concatenate(v) for v in V]
-    return V, [v @ A[coupling, bt].T for v, bt in zip(V, blocks)], b[coupling]
+    if not all(map(len, V)):
+        return None
+    return block_tables(V, [v @ A[coupling, bt].T for v, bt in zip(V, blocks)], bip.Q,
+                        b[coupling])
 
 
 def _improve(rows: np.ndarray, vals: np.ndarray, best_val: float):
@@ -270,8 +345,9 @@ def _improve(rows: np.ndarray, vals: np.ndarray, best_val: float):
 def solve_bip(bip: Bip) -> BipSolution:
     """Branch and bound over whole slot controls, in lexicographic order.
 
-    Rows of A inside block t filter its 2^n_v binary controls to V_t, and
-    trajectories in V_0 x ... x V_{H-1} are visited in lexicographic order,
+    The search reads `bip.blocks`, or else builds the tables from the dense
+    rows: rows of A inside block t filter its 2^n_v binary controls to V_t.
+    Trajectories in V_0 x ... x V_{H-1} are visited in lexicographic order,
     leading blocks depth first and the trailing ones as one grid.  The
     objective is a sum of per-block tables over V_t (cost and Q's diagonal
     blocks) and per-block-pair tables over V_t x V_r (Q's other blocks).  A
@@ -281,35 +357,33 @@ def solve_bip(bip: Bip) -> BipSolution:
     when its lhs plus each coupling row's least remaining part exceeds b
     (exactly, on integers).  Replacing only on a gain over 1e-9 returns the
     lexicographically smallest optimum, as `solve_bip_exhaustive` does.
-    `nodes` counts the prefixes visited plus the trajectories scored.
+    The cost is read from `bip.cost` on every call.  `nodes` counts the
+    prefixes visited plus the trajectories scored.
     """
-    H, n_v, Q = bip.H, bip.n_v, bip.Q
-    V, lhs, b = _block_tables(binary_chunks(n_v, SCAN_CHUNK), bip)
-    if not all(map(len, V)):
+    H, n_v = bip.H, bip.n_v
+    tab = bip.blocks if bip.blocks is not None else _block_tables(bip)
+    if tab is None or tab.first is not None and not tab.first.any():
         return BipSolution(None, None, "infeasible", nodes=1)
+    V, lhs, b, k, grid, glhs, min_lhs = (tab.V, tab.lhs, tab.b, tab.k, tab.grid, tab.glhs,
+                                        tab.min_lhs)
+    if tab.first is None:
+        first, gfirst = range(len(V[0])), None
+    elif k:
+        first, gfirst = np.flatnonzero(tab.first), None
+    else:   # the grid covers block 0: it scores only rows of allowed first controls
+        first, gfirst = None, tab.first[grid[:, 0]]
+    n_grid = len(grid) if gfirst is None else int(gfirst.sum())
     lin = [v @ c for v, c in zip(V, bip.cost.reshape(H, n_v))]
-    # the trailing H - k blocks' candidates as one lexicographic grid of at
-    # most SCAN_CHUNK rows (or one block)
-    sizes = [len(v) for v in V]
-    k = H - 1
-    while k > 0 and prod(sizes[k - 1:]) <= SCAN_CHUNK:
-        k -= 1
-    grid = np.indices(sizes[k:]).reshape(H - k, -1).T
-    glhs = sum(lhs[k + i][grid[:, i]] for i in range(H - k))
-    # least coupling lhs of blocks t .. H-1
-    min_lhs = np.cumsum([np.zeros_like(b)] + [x.min(axis=0) for x in lhs[::-1]], axis=0)[::-1]
-    if Q is None:
-        gval = sum(lin[k + i][grid[:, i]] for i in range(H - k))
-        min_lin = np.cumsum([0.0] + [x.min() for x in lin[::-1]])[::-1]
+    quadratic = tab.qlin is not None
+    if quadratic:
+        lin = [x + q for x, q in zip(lin, tab.qlin)]
+        pair, gpair, min_pair = tab.pair, tab.gpair, tab.min_pair
     else:
-        bt = [slice(t * n_v, (t + 1) * n_v) for t in range(H)]
-        lin = [x + np.einsum("ai,ij,aj->a", v, Q[b, b], v) for x, v, b in zip(lin, V, bt)]
-        pair = {(t, r): V[t] @ (Q[bt[t], bt[r]] + Q[bt[r], bt[t]].T) @ V[r].T
-                for t, r in combinations(range(H), 2)}
-        gpair = sum(pair[k + i, k + j][grid[:, i], grid[:, j]]
-                    for i, j in combinations(range(H - k), 2))
-        # least pair entry summed over pairs of blocks t .. H-1
-        min_pair = [sum(pair[p].min() for p in combinations(range(t, H), 2)) for t in range(H)]
+        gval = sum(lin[k + i][grid[:, i]] for i in range(H - k))
+        min_lin = [0.0]   # least value of blocks t .. H-1, built from the back
+        for x in reversed(lin if k else []):   # no prefix below the root: unused
+            min_lin.append(min_lin[-1] + x.min())
+        min_lin.reverse()
 
     best, best_val, nodes = None, np.inf, 0
     # prefixes to visit: candidate indices, value, lhs, and each remaining
@@ -318,23 +392,30 @@ def solve_bip(bip: Bip) -> BipSolution:
     while stack:
         path, head, acc, cond = stack.pop()
         t = len(path)
-        bound = min_lin[t] if Q is None else sum(c.min() for c in cond) + min_pair[t]
-        pruned = head + bound >= best_val - OPT_TOL or (acc + min_lhs[t] > b).any()
-        nodes += 1 if pruned or t < k else 1 + len(grid)
+        if best is not None:   # no value bound prunes before an incumbent exists
+            bound = sum(c.min() for c in cond) + min_pair[t] if quadratic else min_lin[t]
+            pruned = head + bound >= best_val - OPT_TOL
+        else:
+            pruned = False
+        pruned = pruned or (acc + min_lhs[t] > b).any()
+        nodes += 1 if pruned or t < k else 1 + n_grid
         if pruned:
             continue
         if t < k:
             rest = cond[1:]
             stack.extend(
                 (path + [i], head + cond[0][i], acc + lhs[t][i],
-                 rest if Q is None else [c + pair[t, r][i] for r, c in enumerate(rest, t + 1)])
-                for i in reversed(range(len(cond[0]))))
+                 [c + pair[t, r][i] for r, c in enumerate(rest, t + 1)] if quadratic else rest)
+                for i in reversed(first if t == 0 else range(len(cond[0]))))
             continue
-        if Q is None:
-            vals = gval + head
-        else:
+        if quadratic:
             vals = gpair + head + sum(c[grid[:, i]] for i, c in enumerate(cond))
-        rows = np.flatnonzero(vals < best_val - OPT_TOL)
+        else:
+            vals = gval + head
+        keep = vals < best_val - OPT_TOL
+        if gfirst is not None:
+            keep &= gfirst
+        rows = np.flatnonzero(keep)
         rows = rows[(glhs[rows] <= b - acc).all(axis=1)]
         row, best_val = _improve(rows, vals[rows], best_val)
         if row is not None:

@@ -17,7 +17,7 @@ from .errors import ValidationError
 from .model import Network, count_controls, enumerate_control_set
 # the enumeration oracle is never called here; tracers patch and count it in this module
 from .optim import MAX_BINARY_BITS, solve_bip, solve_bip_exhaustive  # noqa: F401
-from .predictor import build_bip
+from .predictor import build_bip, compile_program
 
 POLICY_KINDS = ("MW", "PNC", "FPNC", "IDLE", "RANDOM")
 PREDICTIVE_KINDS = ("PNC", "FPNC")
@@ -109,7 +109,9 @@ class PncPolicy:
 
     Trajectories are a pure function of (q, s) and are memoized per run.
     Each is stored once as a tuple of its blocks, so every memo hit returns
-    the same control objects.
+    the same control objects.  A memo miss builds its decision's program
+    from the program compiled for its chain state, on the first miss in
+    that state, and solves it.
     """
 
     def __init__(self, net, chain, arrivals, H: int, objective="linear"):
@@ -117,13 +119,18 @@ class PncPolicy:
         self.H = H
         self.objective = objective
         self._memo: dict = {}
+        self._programs: dict = {}   # chain state -> its compiled program
 
     def _trajectory(self, q, s) -> tuple:
         key = (tuple(np.asarray(q).tolist()), int(s))
         traj = self._memo.get(key)
         if traj is None:
-            sol = solve_bip(build_bip(self.net, self.chain, self.arrivals, q, s, self.H,
-                                      self.objective))
+            program = self._programs.get(key[1])
+            if program is None:
+                program = self._programs[key[1]] = compile_program(
+                    self.net, self.chain, self.arrivals, key[1], self.H, self.objective)
+            sol = solve_bip(build_bip(self.net, self.chain, self.arrivals, q, key[1], self.H,
+                                      self.objective, program=program))
             if sol.status != "optimal":
                 raise RuntimeError(f"trajectory program unexpectedly {sol.status}")
             traj = tuple(sol.x.reshape(self.H, self.net.n_v).astype(np.int64))
@@ -166,16 +173,25 @@ def repair_control(net: Network, q, v) -> np.ndarray:
 class FpncPolicy(PncPolicy):
     """Fixed-trajectory variant: consumes a whole solved trajectory before
     re-optimizing; infeasible pending blocks are repaired by dropping the
-    violating links."""
+    violating links.
+
+    A solved block is 0/1 and meets C v <= c, so it is feasible exactly
+    when q >= its queue need; only a block that fails this goes to
+    `repair_control`.
+    """
 
     def __init__(self, net, chain, arrivals, H: int, objective="linear"):
         super().__init__(net, chain, arrivals, H, objective)
-        self._pending: list[np.ndarray] = []
+        self._pending: list[tuple[np.ndarray, list]] = []
 
     def decide(self, q, s) -> np.ndarray:
         if not self._pending:
-            self._pending = list(self._trajectory(q, s))
-        return repair_control(self.net, q, self._pending.pop(0))
+            traj = self._trajectory(q, s)
+            self._pending = list(zip(traj, queue_need(self.net, np.array(traj)).tolist()))
+        v, need = self._pending.pop(0)
+        if all(x >= n for x, n in zip(np.asarray(q).tolist(), need)):
+            return v
+        return repair_control(self.net, q, v)
 
 
 class IdlePolicy:

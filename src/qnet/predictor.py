@@ -20,6 +20,17 @@ queue predicted from full-success transfers and mean arrivals.
 as const + cost.u + u'Qu; Q is what values a feed into an empty relay queue
 followed by its drain.
 
+A policy compiles the program of each (chain state s, H, objective) once,
+with `compile_program`: the controls V with C v <= c in lexicographic order
+and their queue needs, each block's part of the positiveness rows that
+couple blocks, the trailing-block grid, sigma_0 .. sigma_{H-1} with the
+summed mean arrivals, and for the quadratic objective Q with its per-block
+and pair tables.  A decision at q0 (`build_bip`) recomputes only what
+depends on q0: the first controls it allows, q0 >= need (positiveness at
+t = 0 and the source gates), the coupling bounds q0_i + floor(t rate_i),
+and the cost.  Its dense rows (`build_constraints`) are built when first
+read, which only the enumeration oracle does.
+
 Only this relaxed prediction (one control vector per future slot) is
 implemented.  Richer schemes that condition future controls on realized
 chain states or full realizations would replace `build_bip`'s variable
@@ -28,11 +39,14 @@ layout; they are deliberate non-goals here.
 
 from __future__ import annotations
 
+from dataclasses import dataclass, replace
+
 import numpy as np
 
+from .dynamics import queue_need
 from .markov import MarkovChain, propagate
-from .model import ArrivalProcess, Network
-from .optim import Bip
+from .model import ArrivalProcess, Network, enumerate_control_set
+from .optim import Bip, BlockTables, block_tables
 
 
 def _state_distributions(chain: MarkovChain, s: int, H: int) -> list[np.ndarray]:
@@ -48,21 +62,25 @@ def _state_distributions(chain: MarkovChain, s: int, H: int) -> list[np.ndarray]
     return sigmas
 
 
-def _expected_cost(net: Network, sigmas, q0, means) -> np.ndarray:
-    """Linear cost over the stacked trajectory, length H * n_v.
+def _cost_terms(net: Network, sigmas, means) -> tuple[list, np.ndarray]:
+    """What `_expected_cost` reads besides q0: sigma_t W, the expected link
+    successes t slots ahead, per step, and the mean arrival vectors `means`
+    of the horizon steps summed up to each step."""
+    return [sigma @ net.W for sigma in sigmas], np.array(means).cumsum(axis=0)
 
-    `means[u]` is the mean arrival vector of horizon step u, and `sigmas[t]`
-    the chain-state distribution t slots ahead.
-    """
+
+def _expected_cost(net: Network, q0, weights, arrived) -> np.ndarray:
+    """Linear cost over the stacked trajectory, length H * n_v, from `_cost_terms`."""
     # row u is E[q0 + A_{u+1}], the uncontrolled mean queue after slot u
-    drift = np.asarray(q0, dtype=np.float64) + np.cumsum(means, axis=0)
-    return np.concatenate([(2.0 * drift[t:].sum(axis=0) @ net.R) * (sigma @ net.W)
-                           for t, sigma in enumerate(sigmas)])
+    drift = np.asarray(q0, dtype=np.float64) + arrived
+    return np.concatenate([(2.0 * drift[t:].sum(axis=0) @ net.R) * w
+                           for t, w in enumerate(weights)])
 
 
 def build_objective(net: Network, chain: MarkovChain, q0, s: int, a_bar, H: int) -> np.ndarray:
     """Linear surrogate cost over the stacked trajectory, with mean rate a_bar every step."""
-    return _expected_cost(net, _state_distributions(chain, s, H), q0, [a_bar] * H)
+    return _expected_cost(net, q0, *_cost_terms(net, _state_distributions(chain, s, H),
+                                                [a_bar] * H))
 
 
 def build_constraints(net: Network, q0, rate: tuple, H: int):
@@ -79,47 +97,105 @@ def build_constraints(net: Network, q0, rate: tuple, H: int):
     """
     if H < 1:
         raise ValueError("horizon must be >= 1")
-    n_v, n_q = net.n_v, net.n_q
-    n = H * n_v
-    rows, rhs = [], []
-
+    n_v, n_q, n_c = net.n_v, net.n_q, net.C.shape[0]
+    constituency = np.zeros((H, n_c, H, n_v), dtype=np.int64)
+    positiveness = np.zeros((H, n_q, H, n_v), dtype=np.int64)
     for t in range(H):
-        for k in range(net.C.shape[0]):
-            row = np.zeros(n, dtype=np.int64)
-            row[t * n_v:(t + 1) * n_v] = net.C[k]
-            rows.append(row)
-            rhs.append(int(net.c[k]))
-    for t in range(H):
-        for i in range(n_q):
-            row = np.zeros(n, dtype=np.int64)
-            row[t * n_v:(t + 1) * n_v] = -net.R_minus[i]
-            for tau in range(t):
-                row[tau * n_v:(tau + 1) * n_v] = -net.R[i]
-            rows.append(row)
-            rhs.append(int(q0[i]) + (t * rate[i].numerator) // rate[i].denominator)
-    for j in range(n_v):
-        if any(net.S_req[i, j] and q0[i] < 1 for i in range(n_q)):
-            row = np.zeros(n, dtype=np.int64)
-            row[j] = 1
-            rows.append(row)
-            rhs.append(0)
+        constituency[t, :, t] = net.C
+        positiveness[t, :, t] = -net.R_minus
+        positiveness[t, :, :t] = -net.R[:, None]
+    gated = np.flatnonzero((np.asarray(q0) < 1) @ net.S_req > 0)
+    A = np.concatenate([constituency.reshape(H * n_c, H * n_v),
+                        positiveness.reshape(H * n_q, H * n_v),
+                        np.eye(H * n_v, dtype=np.int64)[gated]])
+    steps = [(t, i) for t in range(H) for i in range(n_q)]
+    b = ([int(x) for x in net.c] * H
+         + [int(q0[i]) + f for (_, i), f in zip(steps, _floor_arrivals(rate, steps))]
+         + [0] * len(gated))
+    return A, b
 
-    return np.array(rows, dtype=np.int64), rhs
+
+def _floor_arrivals(rate: tuple, steps) -> list:
+    """floor(t rate_i) for each (t, i) in `steps`, exactly, as Python ints."""
+    frac = [(r.numerator, r.denominator) for r in rate]
+    return [t * frac[i][0] // frac[i][1] for t, i in steps]
+
+
+@dataclass(frozen=True)
+class TrajectoryProgram:
+    """The part of the horizon-H program at chain state s that no decision
+    state changes.
+
+    `tables` lays every block over all of V, the controls with C v <= c,
+    and leaves the first-block mask and the coupling bounds unset; `need`
+    holds each control's `queue_need`.  The rows coupling blocks are the
+    positiveness rows (t, i) of `build_constraints` at steps t >= 1, in its
+    order; row (t, i) has `queues` entry i and `offsets` entry
+    floor(t rate_i).  `weights` and `arrived` are the cost's `_cost_terms`.
+    """
+
+    s: int
+    H: int
+    objective: str
+    tables: BlockTables
+    need: np.ndarray
+    queues: np.ndarray
+    offsets: np.ndarray
+    weights: list
+    arrived: np.ndarray
+    Q: np.ndarray | None
+
+
+def compile_program(net: Network, chain: MarkovChain, arrivals: ArrivalProcess,
+                    s: int, H: int, objective: str = "linear") -> TrajectoryProgram:
+    """Compile the program of every decision at chain state s; `objective` as in
+    `build_bip`."""
+    sigmas = _state_distributions(chain, s, H)
+    if objective == "quadratic":
+        means, Q = [arrivals.mean(t) for t in range(H)], _second_moments(net, chain, sigmas)
+    else:
+        means, Q = [arrivals.rate_float()] * H, None
+    V = enumerate_control_set(net)
+    # the coupling rows are the positiveness rows of steps t = 1 .. H-1; a
+    # control's part of row (t, i) is -R_i v before step t and -R_minus_i v at it
+    steps = [(t, i) for t in range(1, H) for i in range(net.n_q)]
+    feed, drain = -(V @ net.R.T), -(V @ net.R_minus.T)
+    lhs = np.zeros((H, len(V), H - 1, net.n_q), dtype=np.int64)
+    for t in range(1, H):
+        lhs[:t, :, t - 1] = feed
+        lhs[t, :, t - 1] = drain
+    lhs = list(lhs.reshape(H, len(V), len(steps)))
+    queues = np.array([i for _, i in steps], dtype=np.intp)
+    offsets = np.array(_floor_arrivals(arrivals.rate, steps), dtype=np.int64)
+    return TrajectoryProgram(int(s), H, objective, block_tables([V] * H, lhs, Q),
+                             queue_need(net, V), queues, offsets,
+                             *_cost_terms(net, sigmas, means), Q)
 
 
 def build_bip(net: Network, chain: MarkovChain, arrivals: ArrivalProcess,
-              q0, s: int, H: int, objective: str = "linear") -> Bip:
+              q0, s: int, H: int, objective: str = "linear", *,
+              program: TrajectoryProgram | None = None) -> Bip:
     """Full binary program for one policy decision.
 
     `objective` is "linear" (the surrogate) or "quadratic" (the exact
-    expected sum of squares, from `quadratic_objective`).
+    expected sum of squares, from `quadratic_objective`).  `program` is the
+    compiled program for (s, H, objective); without it one is compiled here.
+    The decision adds the first controls q0 allows (q0 >= need), the
+    coupling bounds q0_i + floor(t rate_i) and the cost.  The dense rows A, b
+    come from `build_constraints` when first read.
     """
-    if objective == "quadratic":
-        cost, Q = quadratic_objective(net, chain, arrivals, q0, s, H)
-    else:
-        cost, Q = build_objective(net, chain, q0, s, arrivals.rate_float(), H), None
-    A, b = build_constraints(net, q0, arrivals.rate, H)
-    return Bip(n_v=net.n_v, H=H, cost=cost, A=A, b=b, Q=Q)
+    if program is None:
+        program = compile_program(net, chain, arrivals, s, H, objective)
+    elif (program.s, program.H, program.objective) != (s, H, objective):
+        raise ValueError(f"program compiled for (s, H, objective) = "
+                         f"{(program.s, program.H, program.objective)}, "
+                         f"not {(s, H, objective)}")
+    q0 = np.asarray(q0)
+    blocks = replace(program.tables, first=(q0 >= program.need).all(axis=1),
+                     b=q0[program.queues] + program.offsets)
+    return Bip(n_v=net.n_v, H=H, cost=_expected_cost(net, q0, program.weights, program.arrived),
+               Q=program.Q, blocks=blocks,
+               rows=lambda: build_constraints(net, q0, arrivals.rate, H))
 
 
 def quadratic_objective(net: Network, chain: MarkovChain, arrivals: ArrivalProcess,
@@ -135,10 +211,16 @@ def quadratic_objective(net: Network, chain: MarkovChain, arrivals: ArrivalProce
     Periodic arrivals are read from phase 0 (`ArrivalProcess.mean(t)` at
     horizon step t): a decision carries no slot index.
     """
-    n_v = net.n_v
-    R, W, P = net.R, net.W, chain.P
     sigmas = _state_distributions(chain, s, H)
-    cost = _expected_cost(net, sigmas, q0, [arrivals.mean(t) for t in range(H)])
+    means = [arrivals.mean(t) for t in range(H)]
+    return (_expected_cost(net, q0, *_cost_terms(net, sigmas, means)),
+            _second_moments(net, chain, sigmas))
+
+
+def _second_moments(net: Network, chain: MarkovChain, sigmas) -> np.ndarray:
+    """Q of `quadratic_objective`, from the chain-state distributions sigmas."""
+    n_v, H = net.n_v, len(sigmas)
+    R, W, P = net.R, net.W, chain.P
     gram = (R.T @ R).astype(np.float64)
     Q = np.zeros((H * n_v, H * n_v))
     for t in range(H):
@@ -154,4 +236,4 @@ def quadratic_objective(net: Network, chain: MarkovChain, arrivals: ArrivalProce
             block = (H - r) * gram * (weighted.T @ ahead)
             Q[bt, br] = block
             Q[br, bt] = block.T
-    return cost, Q
+    return Q

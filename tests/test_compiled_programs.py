@@ -1,0 +1,129 @@
+"""Compiled trajectory programs against the dense rows and the enumeration oracle.
+
+A policy compiles the program of a chain state once and builds each decision
+from it; these tests solve the same decisions from `build_constraints` and
+the objective alone, the path a hand-built `Bip` takes.
+"""
+
+import numpy as np
+import pytest
+
+import qnet.policies as policies
+import qnet.predictor as predictor
+from qnet import optim
+from qnet.dynamics import make_streams, run
+from qnet.model import validate_network
+from qnet.optim import Bip, solve_bip, solve_bip_exhaustive
+from qnet.policies import PncPolicy, PolicySpec, make_policy
+from qnet.predictor import (build_bip, build_constraints, build_objective, compile_program,
+                            quadratic_objective)
+from qnet.scenarios import scenario_example1, scenario_example2
+
+from conftest import random_arrivals, random_chain, random_network
+
+
+def dense_bip(net, chain, arrivals, q0, s, H, objective):
+    """The decision's program from its dense rows only: no compiled tables."""
+    if objective == "quadratic":
+        cost, Q = quadratic_objective(net, chain, arrivals, q0, s, H)
+    else:
+        cost, Q = build_objective(net, chain, q0, s, arrivals.rate_float(), H), None
+    A, b = build_constraints(net, q0, arrivals.rate, H)
+    return Bip(n_v=net.n_v, H=H, cost=cost, A=A, b=b, Q=Q)
+
+
+def _with_extra_sources(rng, net):
+    raw = net.to_json()
+    raw["S_req"] = (rng.random((net.n_q, net.n_v)) < 0.3).astype(int).tolist()
+    return validate_network(raw)
+
+
+@pytest.mark.parametrize("objective", ["linear", "quadratic"])
+@pytest.mark.parametrize("chunk", [None, 1])
+def test_compiled_decisions_match_dense_rows_and_oracle(rng, monkeypatch, chunk, objective):
+    # chunk 1 puts every block but the last in the depth-first prefix, so the
+    # first-block mask is applied there; otherwise the grid covers block 0.
+    # Backlogs of 0-2 starve sources; S_req extras gate links no row sees.
+    if chunk is not None:
+        monkeypatch.setattr(optim, "SCAN_CHUNK", chunk)
+    gated = prefixed = 0
+    for k in range(120):
+        n_s = 1 + k % 3
+        net = random_network(rng, n_s=n_s, allow_copy=True)
+        if k % 2:
+            net = _with_extra_sources(rng, net)
+        chain = random_chain(rng, n_s)
+        arr = random_arrivals(rng, net.n_q)
+        H = 1 + k % 4
+        while H * net.n_v > 12:
+            H -= 1
+        policy = PncPolicy(net, chain, arr, H, objective=objective)
+        for _ in range(3):
+            q0 = rng.integers(0, 3, size=net.n_q)
+            s = int(rng.integers(n_s))
+            traj = np.concatenate(policy._trajectory(q0, s))
+            program = policy._programs[s]
+            compiled = solve_bip(build_bip(net, chain, arr, q0, s, H, objective,
+                                           program=program))
+            dense = dense_bip(net, chain, arr, q0, s, H, objective)
+            by_rows, oracle = solve_bip(dense), solve_bip_exhaustive(dense)
+            assert by_rows.status == oracle.status == "optimal", k
+            assert np.array_equal(traj, by_rows.x) and np.array_equal(compiled.x, oracle.x), k
+            assert compiled.value == by_rows.value == oracle.value, k
+            gated += not (q0 >= program.need).all(axis=1).all()
+            prefixed += program.tables.k > 0
+    assert gated > 50
+    assert (prefixed > 50) == (chunk == 1)
+
+
+@pytest.mark.parametrize("spec", [PolicySpec("MW"), PolicySpec("FPNC", 3)],
+                         ids=lambda spec: spec.name)
+def test_example2_green_memo_states_replay(spec):
+    # every decision a 3000-slot unstable run memoized, solved again from the
+    # dense rows: the same trajectory, from one compiled program
+    sc = scenario_example2("green")
+    policy = make_policy(spec, sc.net, sc.chain, sc.arrivals)
+    run(sc.net, sc.chain, sc.arrivals, policy, 3000, make_streams(11))
+    assert list(policy._programs) == [0] and len(policy._memo) > 100
+    for (q, s), traj in policy._memo.items():
+        dense = dense_bip(sc.net, sc.chain, sc.arrivals, np.array(q), s, policy.H, "linear")
+        assert np.array_equal(np.concatenate(traj), solve_bip(dense).x), q
+
+
+def test_each_chain_state_compiled_once(monkeypatch):
+    # example1's handover chain visits several states; a decision reads the
+    # compiled program of its state and never builds the dense rows
+    counts: dict = {}
+    compile_once = policies.compile_program
+
+    def counted(net, chain, arrivals, s, H, objective="linear"):
+        counts[s] = counts.get(s, 0) + 1
+        return compile_once(net, chain, arrivals, s, H, objective)
+
+    def no_dense_rows(*args):
+        raise AssertionError("a decision built its dense rows")
+
+    monkeypatch.setattr(policies, "compile_program", counted)
+    monkeypatch.setattr(predictor, "build_constraints", no_dense_rows)
+    sc = scenario_example1()
+    for spec in (PolicySpec("PNC", 2), PolicySpec("FPNC", 3, objective="quadratic")):
+        counts.clear()
+        policy = make_policy(spec, sc.net, sc.chain, sc.arrivals)
+        run(sc.net, sc.chain, sc.arrivals, policy, 60, make_streams(2))
+        assert set(counts) == set(policy._programs) and len(counts) > 1
+        assert set(counts.values()) == {1}
+        assert {s for (_, s) in policy._memo} == set(counts)
+        assert len(policy._memo) > len(counts)
+
+
+def test_build_bip_rejects_a_program_of_another_decision():
+    sc = scenario_example1()
+    program = compile_program(sc.net, sc.chain, sc.arrivals, 0, 2)
+    for s, H, objective in ((1, 2, "linear"), (0, 3, "linear"), (0, 2, "quadratic")):
+        with pytest.raises(ValueError, match="program compiled for"):
+            build_bip(sc.net, sc.chain, sc.arrivals, [1, 0, 0, 0], s, H, objective,
+                      program=program)
+    # the same program serves every queue state, and the dense rows still read
+    bip = build_bip(sc.net, sc.chain, sc.arrivals, [1, 0, 0, 0], 0, 2, program=program)
+    A, b = build_constraints(sc.net, [1, 0, 0, 0], sc.arrivals.rate, 2)
+    assert np.array_equal(bip.A, A) and bip.b.tolist() == b

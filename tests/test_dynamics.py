@@ -94,6 +94,18 @@ def test_run_idle_zero_arrivals_constant():
     assert trace.cumulative_delivered() == 0
 
 
+def test_run_rejects_malformed_q0():
+    # a fraction, a wrong length and a nested list each fail like a negative
+    # entry does, before any slot runs
+    sc = scenario_example2("red")
+    for q0 in ([-1, 0], [1.5, 0], [1, 2, 3], [[1, 2]], [float("nan"), 0], [True, False]):
+        with pytest.raises(ValueError, match="initial queue state must be 2 nonnegative integers"):
+            run(sc.net, sc.chain, sc.arrivals, IdlePolicy(sc.net), 5, make_streams(0), q0=q0)
+    trace = run(sc.net, sc.chain, sc.arrivals, IdlePolicy(sc.net), 5, make_streams(0),
+                q0=np.array([3.0, 0.0]))
+    assert trace.q0.dtype == np.int64 and trace.q0.tolist() == [3, 0]
+
+
 def test_run_deterministic_same_seed():
     net = validate_network({"R": [[-1, 0], [1, -1]], "C": [[0, 0]], "c": [1],
                             "W": [[0.5, 0.5]]})

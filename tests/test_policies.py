@@ -161,6 +161,26 @@ def test_repair_drops_violating_links():
     assert repair_control(net, [3, 3], [0, -1, 1]).tolist() == [0, 0, 1]
 
 
+def test_fpnc_repairs_only_infeasible_blocks(rng):
+    # a pending block was planned for predicted queues; at the realized ones
+    # it passes unchanged when feasible and is repaired when not
+    repaired = 0
+    for _ in range(100):
+        net = random_network(rng, allow_copy=True)
+        chain = random_chain(rng, net.n_s)
+        arr = random_arrivals(rng, net.n_q)
+        policy = FpncPolicy(net, chain, arr, 2)
+        q0 = rng.integers(0, 4, size=net.n_q)
+        policy.decide(q0, chain.s0)
+        pending = policy._trajectory(q0, chain.s0)[1]
+        q1 = rng.integers(0, 2, size=net.n_q)
+        got = policy.decide(q1, chain.s0)
+        assert check_feasible(net, q1, got).ok
+        assert np.array_equal(got, repair_control(net, q1, pending))
+        repaired += not check_feasible(net, q1, pending).ok
+    assert repaired > 10
+
+
 def test_policies_always_feasible(rng):
     sc = scenario_example2("blue")
     for spec in (PolicySpec("MW"), PolicySpec("PNC", 2), PolicySpec("FPNC", 3),
