@@ -18,8 +18,7 @@ from .model import (ArrivalProcess, Network, enumerate_control_set,
 from .optim import Bip, BipSolution, LpProblem, LpSolution, solve_bip, solve_lp
 from .policies import (FpncPolicy, IdlePolicy, MwPolicy, PncPolicy, PolicySpec,
                        RandomPolicy, make_policy)
-from .predictor import (build_bip, build_constraints, build_objective,
-                        quadratic_objective)
+from .predictor import build_bip, build_constraints
 from .scenarios import (Scenario, builtin_scenario, load_scenario,
                         scenario_example1, scenario_example2, validate_scenario)
 from .stability import (RegionQuery, RegionResult, StabilityVerdict,

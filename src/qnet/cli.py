@@ -19,7 +19,7 @@ from .scenarios import BUILTIN_BUILDERS, builtin_scenario, check_run_settings, l
 def _load(name_or_path: str):
     if name_or_path in BUILTIN_BUILDERS:
         return builtin_scenario(name_or_path)
-    if os.path.exists(name_or_path):
+    if os.path.isfile(name_or_path):
         return load_scenario(name_or_path)
     raise ValidationError("scenario", f"{name_or_path!r} is neither a builtin scenario "
                                       "nor an existing file")

@@ -252,9 +252,9 @@ class BlockTables:
     block search reads them.
 
     V[t] holds block t's candidate controls in lexicographic order; `first`
-    masks those allowed in block 0 (None allows all).  lhs[t] is each
-    candidate's part of the rows coupling blocks, whose bounds are b: a
-    trajectory is feasible iff sum_t lhs[t] <= b.  Blocks k .. H-1 form one
+    masks those allowed in block 0.  lhs[t] is each candidate's part of the
+    rows coupling blocks, whose bounds are b: a trajectory is feasible iff
+    sum_t lhs[t] <= b.  Blocks k .. H-1 form one
     lexicographic grid of candidate indices, with summed lhs `glhs`, and
     min_lhs[t] is the least lhs of blocks t .. H-1.  With a quadratic term,
     qlin[t] is each candidate's u'Qu inside block t, pair[t, r] the cross
@@ -265,7 +265,7 @@ class BlockTables:
     V: list
     lhs: list
     b: np.ndarray | None
-    first: np.ndarray | None
+    first: np.ndarray
     k: int
     grid: np.ndarray
     glhs: np.ndarray
@@ -281,7 +281,8 @@ def block_tables(V: list, lhs: list, Q=None, b=None) -> BlockTables:
 
     The grid takes the most trailing blocks whose candidates multiply to at
     most SCAN_CHUNK rows, and at least the last block; SCAN_CHUNK is read
-    here, when the tables are built.
+    here, when the tables are built.  `first` allows every control of
+    block 0.
     """
     H, n_v = len(V), V[0].shape[1]
     sizes = [len(v) for v in V]
@@ -294,8 +295,9 @@ def block_tables(V: list, lhs: list, Q=None, b=None) -> BlockTables:
     for x in reversed(lhs):
         min_lhs.append(min_lhs[-1] + x.min(axis=0))
     min_lhs.reverse()
+    first = np.ones(len(V[0]), dtype=bool)
     if Q is None:
-        return BlockTables(V, lhs, b, None, k, grid, glhs, min_lhs)
+        return BlockTables(V, lhs, b, first, k, grid, glhs, min_lhs)
     bt = [slice(t * n_v, (t + 1) * n_v) for t in range(H)]
     qlin = [np.einsum("ai,ij,aj->a", v, Q[s, s], v) for v, s in zip(V, bt)]
     pair = {(t, r): V[t] @ (Q[bt[t], bt[r]] + Q[bt[r], bt[t]].T) @ V[r].T
@@ -303,7 +305,7 @@ def block_tables(V: list, lhs: list, Q=None, b=None) -> BlockTables:
     gpair = sum(pair[k + i, k + j][grid[:, i], grid[:, j]]
                 for i, j in combinations(range(H - k), 2))
     min_pair = [sum(pair[p].min() for p in combinations(range(t, H), 2)) for t in range(H)]
-    return BlockTables(V, lhs, b, None, k, grid, glhs, min_lhs, qlin, pair, gpair, min_pair)
+    return BlockTables(V, lhs, b, first, k, grid, glhs, min_lhs, qlin, pair, gpair, min_pair)
 
 
 def _block_tables(bip: Bip) -> BlockTables | None:
@@ -362,13 +364,11 @@ def solve_bip(bip: Bip) -> BipSolution:
     """
     H, n_v = bip.H, bip.n_v
     tab = bip.blocks if bip.blocks is not None else _block_tables(bip)
-    if tab is None or tab.first is not None and not tab.first.any():
+    if tab is None or not tab.first.any():
         return BipSolution(None, None, "infeasible", nodes=1)
     V, lhs, b, k, grid, glhs, min_lhs = (tab.V, tab.lhs, tab.b, tab.k, tab.grid, tab.glhs,
                                         tab.min_lhs)
-    if tab.first is None:
-        first, gfirst = range(len(V[0])), None
-    elif k:
+    if k:
         first, gfirst = np.flatnonzero(tab.first), None
     else:   # the grid covers block 0: it scores only rows of allowed first controls
         first, gfirst = None, tab.first[grid[:, 0]]
@@ -432,8 +432,6 @@ def solve_bip_exhaustive(bip: Bip) -> BipSolution:
     n = bip.n
     if n > 20:
         raise EnumerationLimitError(f"exhaustive solve limited to 20 variables, got {n}")
-    if n == 0:
-        return BipSolution(np.zeros(0, dtype=np.int8), 0.0, "optimal", nodes=1)
     best_x = None
     best_val = np.inf
     for cand in binary_chunks(n, 1 << 14):

@@ -119,10 +119,13 @@ def validate_scenario(raw: dict) -> Scenario:
     if region_scale is None or region_scale <= 0:
         raise ValidationError("region_scale", f"expected a positive rational number, "
                                               f"got {raw['region_scale']!r}")
+    notes = raw.get("notes")
+    if notes is not None and not isinstance(notes, str):
+        raise ValidationError("notes", f"expected a string, got {notes!r}")
     return Scenario(name=name, net=net, chain=chain, arrivals=arrivals,
                     policies=policies, slots=slots, replications=replications,
                     seed=seed, q0=q0, region_scale=region_scale,
-                    notes=raw.get("notes", ""))
+                    notes=notes or "")
 
 
 def load_scenario(path: str) -> Scenario:
@@ -131,6 +134,8 @@ def load_scenario(path: str) -> Scenario:
             raw = json.load(fh)
         except json.JSONDecodeError as exc:
             raise ValidationError(path, f"malformed JSON ({exc})")
+        except UnicodeDecodeError as exc:
+            raise ValidationError(path, f"not UTF-8 text ({exc})")
     return validate_scenario(raw)
 
 

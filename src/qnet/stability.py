@@ -38,7 +38,7 @@ BRACKET_WIDTH = Fraction(1, 10**6)
 class RegionQuery:
     net: Network
     a_bar: tuple                       # exact per-queue mean rates
-    pi: tuple | None = None            # stationary weights; default from P or single state
+    pi: tuple | None = None            # explicit stationary weights; required when n_s > 1
     options: np.ndarray | None = None  # restricted control set; default: full enumeration
     effect_scale: Fraction = Fraction(1)  # unit scale applied to R W^s v
 

@@ -1,7 +1,7 @@
 """Exact quadratic oracle: E[sum q_t'q_t] by enumerating the outcome tree.
 
-Test-only reference for `qnet.predictor.quadratic_objective` and the linear
-surrogate; small instances only.
+Test-only reference for the `cost` and `Q` of `qnet.predictor.build_bip`,
+quadratic and linear; small instances only.
 """
 
 from __future__ import annotations

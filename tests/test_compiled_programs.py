@@ -2,7 +2,8 @@
 
 A policy compiles the program of a chain state once and builds each decision
 from it; these tests solve the same decisions from `build_constraints` and
-the objective alone, the path a hand-built `Bip` takes.
+the objective (`build_bip`'s cost and Q) alone, the path a hand-built `Bip`
+takes.
 """
 
 import numpy as np
@@ -15,8 +16,7 @@ from qnet.dynamics import make_streams, run
 from qnet.model import validate_network
 from qnet.optim import Bip, solve_bip, solve_bip_exhaustive
 from qnet.policies import PncPolicy, PolicySpec, make_policy
-from qnet.predictor import (build_bip, build_constraints, build_objective, compile_program,
-                            quadratic_objective)
+from qnet.predictor import build_bip, build_constraints, compile_program
 from qnet.scenarios import scenario_example1, scenario_example2
 
 from conftest import random_arrivals, random_chain, random_network
@@ -24,12 +24,9 @@ from conftest import random_arrivals, random_chain, random_network
 
 def dense_bip(net, chain, arrivals, q0, s, H, objective):
     """The decision's program from its dense rows only: no compiled tables."""
-    if objective == "quadratic":
-        cost, Q = quadratic_objective(net, chain, arrivals, q0, s, H)
-    else:
-        cost, Q = build_objective(net, chain, q0, s, arrivals.rate_float(), H), None
+    compiled = build_bip(net, chain, arrivals, q0, s, H, objective)
     A, b = build_constraints(net, q0, arrivals.rate, H)
-    return Bip(n_v=net.n_v, H=H, cost=cost, A=A, b=b, Q=Q)
+    return Bip(n_v=net.n_v, H=H, cost=compiled.cost, A=A, b=b, Q=compiled.Q)
 
 
 def _with_extra_sources(rng, net):

@@ -168,6 +168,9 @@ SMALL_RED = scenario_example2("red", slots=20, replications=1).to_json()
     ("name", "name", "../x"),
     ("name", "name", "a/b"),
     ("seed", "seed", -1),
+    ("notes", "notes", 7),
+    ("notes", "notes", ["a"]),
+    ("notes", "notes", {"x": 1}),
 ])
 def test_cli_malformed_fields_exit_2(tmp_path, capsys, path, field, value):
     # field None replaces the whole document
@@ -175,6 +178,18 @@ def test_cli_malformed_fields_exit_2(tmp_path, capsys, path, field, value):
     bad.write_text(json.dumps(value if field is None else dict(SMALL_RED, **{field: value})))
     assert main(["validate", str(bad)]) == 2
     assert f"{path}:" in capsys.readouterr().err
+
+
+def test_cli_unreadable_scenario_files_exit_2(tmp_path, capsys):
+    # bytes that are not UTF-8 and a directory are scenario errors with a path
+    binary = tmp_path / "binary.json"
+    binary.write_bytes(b"\xff\xfe{}")
+    assert main(["validate", str(binary)]) == 2
+    assert f"{binary}:" in capsys.readouterr().err
+    folder = tmp_path / "folder"
+    folder.mkdir()
+    assert main(["validate", str(folder)]) == 2
+    assert "scenario:" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("rays", ["0", "-3"])

@@ -113,10 +113,13 @@ def test_bip_idle_optimum():
 
 
 def test_bip_infeasible():
-    bip = Bip(n_v=2, H=1, cost=np.zeros(2),
-              A=np.array([[0, 0]], dtype=np.int64), b=[-1])
-    assert solve_bip(bip).status == "infeasible"
-    assert solve_bip_exhaustive(bip).status == "infeasible"
+    # the zero-variable program still has a row to violate
+    for bip in (Bip(n_v=2, H=1, cost=np.zeros(2),
+                    A=np.array([[0, 0]], dtype=np.int64), b=[-1]),
+                Bip(n_v=0, H=1, cost=np.zeros(0),
+                    A=np.zeros((1, 0), dtype=np.int64), b=[-1])):
+        assert solve_bip(bip).status == "infeasible"
+        assert solve_bip_exhaustive(bip).status == "infeasible"
 
 
 def test_bip_empty():

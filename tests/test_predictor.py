@@ -9,7 +9,7 @@ from itertools import product
 
 from qnet.markov import propagate, validate_chain
 from qnet.model import validate_arrivals, validate_network, enumerate_control_set
-from qnet.predictor import build_constraints, build_objective, quadratic_objective
+from qnet.predictor import build_bip, build_constraints
 
 from conftest import random_arrivals, random_chain, random_network, zero_arrivals
 from oracles import quadratic_objective_oracle
@@ -56,14 +56,14 @@ def test_objective_h1_formula(rng):
         chain = random_chain(rng, net.n_s)
         arr = random_arrivals(rng, net.n_q)
         q0 = rng.integers(0, 6, size=net.n_q)
-        cost = build_objective(net, chain, q0, chain.s0, arr.rate_float(), 1)
+        cost = build_bip(net, chain, arr, q0, chain.s0, 1).cost
         w0 = net.W[chain.s0]
         expect = 2.0 * (q0 + arr.rate_float()) @ net.R * w0
         assert np.allclose(cost, expect, atol=1e-12)
 
 
 def test_objective_zero_inputs():
-    cost = build_objective(RELAY, RELAY_CHAIN, [0, 0], 0, [0.0, 0.0], 3)
+    cost = build_bip(RELAY, RELAY_CHAIN, zero_arrivals(2), [0, 0], 0, 3).cost
     assert np.array_equal(cost, np.zeros(6))
 
 
@@ -74,9 +74,10 @@ def test_objective_block_coefficients(rng):
     chain = random_chain(rng, net.n_s)
     H = 4
     q0 = rng.integers(0, 5, size=net.n_q)
-    a = random_arrivals(rng, net.n_q).rate_float()
+    arr = random_arrivals(rng, net.n_q)
+    a = arr.rate_float()
     What = _expected_weights(chain, net.W, chain.s0, H)
-    cost = build_objective(net, chain, q0, chain.s0, a, H)
+    cost = build_bip(net, chain, arr, q0, chain.s0, H).cost
     for t in range(H):
         lead = 2 * (H - t) * q0 + (H + 1 + t) * (H - t) * a
         assert np.allclose(cost[t * net.n_v:(t + 1) * net.n_v], (lead @ net.R) * What[t])
@@ -188,7 +189,7 @@ def test_oracle_linear_extraction_matches_objective(rng):
     for _ in range(25):
         net, chain, arr, H, q0 = _tiny_instance(rng)
         zero = zero_arrivals(2)
-        cost = build_objective(net, chain, q0, chain.s0, arr.rate_float(), H)
+        cost = build_bip(net, chain, arr, q0, chain.s0, H).cost
         n = H * net.n_v
         J = lambda u, q, a: quadratic_objective_oracle(net, chain, a, q, chain.s0, H, np.array(u).reshape(H, net.n_v))
         base = [0] * n
@@ -235,7 +236,8 @@ def test_quadratic_closed_form_matches_oracle(rng):
     # J(u) - J(0) = cost.u + u'Qu exactly, copy links and 2-state chains included
     for k in range(60):
         net, chain, arr, H, q0 = _closed_form_instance(rng, k)
-        cost, Q = quadratic_objective(net, chain, arr, q0, chain.s0, H)
+        bip = build_bip(net, chain, arr, q0, chain.s0, H, "quadratic")
+        cost, Q = bip.cost, bip.Q
         zero = np.zeros((H, net.n_v), dtype=int)
         j0 = quadratic_objective_oracle(net, chain, arr, q0, chain.s0, H, zero)
         for _ in range(5):
@@ -254,6 +256,6 @@ def test_quadratic_linear_part_is_surrogate(rng):
         arr = random_arrivals(rng, net.n_q)
         H = int(rng.integers(1, 5))
         q0 = rng.integers(0, 6, size=net.n_q)
-        cost, Q = quadratic_objective(net, chain, arr, q0, chain.s0, H)
-        surrogate = build_objective(net, chain, q0, chain.s0, arr.rate_float(), H)
+        cost = build_bip(net, chain, arr, q0, chain.s0, H, "quadratic").cost
+        surrogate = build_bip(net, chain, arr, q0, chain.s0, H).cost
         assert np.array_equal(cost, surrogate)

@@ -173,10 +173,15 @@ def test_scenario_validation_paths():
             ("name", "name", "sub\\dir"),
             ("name", "name", "a\0b"),
             ("name", "name", "."),
-            ("name", "name", "..")):
+            ("name", "name", ".."),
+            # notes, when present and not null, are text
+            ("notes", "notes", 7),
+            ("notes", "notes", ["a"]),
+            ("notes", "notes", {"x": 1})):
         with pytest.raises(ValidationError) as info:
             validate_scenario(dict(sc, **{block: value}))
         assert info.value.path == path
+    assert validate_scenario(dict(sc, notes=None)).notes == ""
     with pytest.raises(ValidationError) as info:
         validate_scenario([1])
     assert info.value.path == "scenario"
