@@ -10,6 +10,9 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 from dataclasses import dataclass
+from numbers import Number
+from operator import add, ge
+from typing import NamedTuple
 
 import numpy as np
 
@@ -18,6 +21,11 @@ from .markov import MarkovChain, next_states, sample_next
 from .model import ArrivalProcess, Network
 
 STREAM_IDS = {"links": 0, "arrivals": 1, "chain": 2, "policy": 3}
+# Entries of `step`'s memo per network.  An entry takes about 2.4 kB with
+# eight active links, and a policy that picks among 2^16 controls could
+# otherwise add one per slot; past the limit a new control is checked
+# every slot it is used.
+MAX_ADMITTED = 1 << 12
 
 
 @dataclass
@@ -74,32 +82,63 @@ def queue_need(net: Network, v) -> np.ndarray:
     return np.maximum(-(v @ net.R_minus.T), v @ net.S_req.T > 0)
 
 
+def _first_non_binary(values: list) -> int | None:
+    """Index of the first entry that is not the number 0 or 1, else None."""
+    for j, x in enumerate(values):
+        if not (isinstance(x, Number) and (x == 0 or x == 1)):
+            return j
+    return None
+
+
 def check_feasible(net: Network, q, v) -> Feasibility:
-    """Binary, constituency, positiveness and source-requirement check; never raises.
+    """Binary, constituency, positiveness and source-requirement check.
 
     A violation reports the first family that fails, in that order, and the
-    first violated entry (binary: v not a 0/1 vector of length n_v), row
-    (constituency, positiveness) or link (source).
+    first violated entry (binary: the first entry that is not the number 0
+    or 1, or None when v is not a vector of length n_v), row (constituency,
+    positiveness) or link (source).  Any array-like control gets a verdict;
+    only a queue state that is not a vector of length n_q raises `ValueError`.
     """
-    v = np.asarray(v)
     q = np.asarray(q)
+    if q.shape != (net.n_q,):
+        raise ValueError(f"queue state must have shape ({net.n_q},), got {q.shape}")
+    v = np.asarray(v)
     if v.shape != (net.n_v,):
         return Feasibility(False, "binary", None)
-    # Accept in one pass: v is 0/1, C v <= c and q >= queue_need.  The masks
-    # hold a few entries, where all() over a list costs far less than
-    # ndarray.all().
-    if ({*v.tolist()} <= {0, 1} and all((net.C @ v <= net.c).tolist())
-            and all((q >= queue_need(net, v)).tolist())):
+    values = v.tolist()
+    # a set compare suffices for numbers; strings and objects are read one by one
+    if not (v.dtype.kind in "biuf" and {*values} <= {0, 1}):
+        bad = _first_non_binary(values)
+        if bad is not None:
+            return Feasibility(False, "binary", bad)
+    v = np.asarray(v, dtype=np.int64)
+    # Accept in one pass: C v <= c and q >= queue_need.  The masks hold a
+    # few entries, where all() over a list costs far less than ndarray.all().
+    if all((net.C @ v <= net.c).tolist()) and all((q >= queue_need(net, v)).tolist()):
         return FEASIBLE
-    on = v != 0
-    starved = on & ((q < 1) @ net.S_req > 0)
-    for family, bad in (("binary", on & (v != 1)),
-                        ("constituency", net.C @ v > net.c),
+    starved = (v != 0) & ((q < 1) @ net.S_req > 0)
+    for family, bad in (("constituency", net.C @ v > net.c),
                         ("positiveness", q + net.R_minus @ v < 0),
                         ("source", starved)):
         if bad.any():
             return Feasibility(False, family, int(np.argmax(bad)))
     return FEASIBLE
+
+
+class _Admitted(NamedTuple):
+    """What a slot reads of a control that `check_feasible` has accepted."""
+    need: list       # queue_need, one int per queue
+    links: list      # active links, ascending
+    cols: list       # per active link, its R column as (queue, entry) pairs, nonzeros only
+    delivery: list   # per active link, packets delivered on success
+    W: list          # per chain state, the active links' success probabilities
+
+
+def _admit(net: Network, v: np.ndarray) -> _Admitted:
+    links = v.nonzero()[0].tolist()
+    return _Admitted(queue_need(net, v).tolist(), links,
+                     [[(i, r) for i, r in enumerate(col) if r] for col in net.R.T[links].tolist()],
+                     net.delivery[links].tolist(), net.W[:, links].tolist())
 
 
 def step(net: Network, state: SimState, v, a, s_next: int,
@@ -110,26 +149,45 @@ def step(net: Network, state: SimState, v, a, s_next: int,
     Coin flips are drawn from `links` per activated link only, in ascending
     link order; non-activated links record m = 0.  A control that is not
     a feasible 0/1 vector of length n_v raises `PolicyContractError`.
+
+    An int64 control of shape (n_v,) that `check_feasible` has accepted once
+    enters the network's memo of admitted controls, which is filled as
+    controls are first seen, never by listing the control set, and holds at
+    most MAX_ADMITTED of them; it is accepted again whenever q >= its queue
+    need.  Anything else, a shortfall included, goes to `check_feasible`,
+    which accepts it or names the violation.
     """
-    feas = check_feasible(net, state.q, v)
-    if not feas:
-        raise PolicyContractError(
-            f"infeasible control at t={state.t}: {feas.family} violation at index {feas.index}",
-            diagnostic=StepRecord(state.t, state.s, state.q.copy(), np.array(v),
-                                  np.zeros(net.n_v, dtype=np.int64),
-                                  np.zeros(net.n_q, dtype=np.int64),
-                                  state.q.copy(), 0))
-    v = np.asarray(v, dtype=np.int64)
-    m = np.zeros(net.n_v, dtype=np.int64)
-    w = net.W[state.s].tolist()
-    for j in v.nonzero()[0].tolist():
+    key = (v.tobytes() if isinstance(v, np.ndarray) and v.dtype == np.int64
+           and v.shape == (net.n_v,) else None)
+    entry = net._admitted.get(key)
+    q = state.q.tolist()
+    if (entry is None or state.q.shape != (net.n_q,)
+            or not all(map(ge, q, entry.need))):
+        feas = check_feasible(net, state.q, v)
+        if not feas:
+            raise PolicyContractError(
+                f"infeasible control at t={state.t}: {feas.family} violation at index {feas.index}",
+                diagnostic=StepRecord(state.t, state.s, state.q.copy(), np.array(v),
+                                      np.zeros(net.n_v, dtype=np.int64),
+                                      np.zeros(net.n_q, dtype=np.int64),
+                                      state.q.copy(), 0))
+        v = np.asarray(v, dtype=np.int64)
+        entry = _admit(net, v)
+        if key is not None and len(net._admitted) < MAX_ADMITTED:
+            net._admitted[key] = entry
+    # the slot on Python ints: a few links and queues
+    m = [0] * net.n_v
+    delivered = 0
+    q_after = list(map(add, q, a.tolist()))
+    for j, w, col, d in zip(entry.links, entry.W[state.s], entry.cols, entry.delivery):
         # w == 1: certain success, w == 0: certain failure, neither draws
-        if w[j] >= 1.0 or w[j] > 0.0 and links.random() < w[j]:
+        if w >= 1.0 or w > 0.0 and links.random() < w:
             m[j] = 1
-    mv = m * v
-    q_after = state.q + net.R @ mv + a
-    delivered = int(mv @ net.delivery)
-    rec = StepRecord(state.t, state.s, state.q, v, m, a, q_after, delivered)
+            delivered += d
+            for i, r in col:
+                q_after[i] += r
+    q_after = np.array(q_after)
+    rec = StepRecord(state.t, state.s, state.q, v, np.array(m), a, q_after, delivered)
     return SimState(state.t + 1, q_after, s_next), rec
 
 

@@ -43,6 +43,10 @@ class Network:
             arr = getattr(self, name)
             if arr is not None:
                 arr.setflags(write=False)
+        # `dynamics.step`'s memo of the controls it has admitted, keyed by
+        # their bytes.  A cache, not a field: equality, `to_json` and
+        # `dataclasses.replace` ignore it, and a replaced network starts empty.
+        object.__setattr__(self, "_admitted", {})
 
     def to_json(self) -> dict:
         """Normalized description, re-validatable by `validate_network`."""

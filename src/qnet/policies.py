@@ -104,6 +104,15 @@ class PolicySpec:
                           objective=raw.get("objective", "linear"))
 
 
+class _Trajectory(tuple):
+    """A solved trajectory, one control per slot, as the memo keeps it.
+
+    `needs`, each block's queue need, is filled by the fixed-trajectory
+    policy when it first starts the trajectory, which is on its memo miss.
+    """
+    needs: list | None = None
+
+
 class PncPolicy:
     """Receding horizon: re-solves every slot, applies only the first block.
 
@@ -133,7 +142,7 @@ class PncPolicy:
                                       self.objective, program=program))
             if sol.status != "optimal":
                 raise RuntimeError(f"trajectory program unexpectedly {sol.status}")
-            traj = tuple(sol.x.reshape(self.H, self.net.n_v).astype(np.int64))
+            traj = _Trajectory(sol.x.reshape(self.H, self.net.n_v).astype(np.int64))
             self._memo[key] = traj
         return traj
 
@@ -187,7 +196,9 @@ class FpncPolicy(PncPolicy):
     def decide(self, q, s) -> np.ndarray:
         if not self._pending:
             traj = self._trajectory(q, s)
-            self._pending = list(zip(traj, queue_need(self.net, np.array(traj)).tolist()))
+            if traj.needs is None:
+                traj.needs = queue_need(self.net, np.array(traj)).tolist()
+            self._pending = list(zip(traj, traj.needs))
         v, need = self._pending.pop(0)
         if all(x >= n for x, n in zip(np.asarray(q).tolist(), need)):
             return v

@@ -1,17 +1,21 @@
 """One-step evolution, feasibility checks, traces, serialization."""
 
+import dataclasses
 import gc
 import itertools
+import time
 import weakref
 
 import numpy as np
 import pytest
 
-from qnet.dynamics import (SimState, Trace, check_feasible, make_streams, run,
+from qnet.dynamics import (MAX_ADMITTED, SimState, Trace, check_feasible, make_streams, run,
                            step, trace_csv_header, trace_to_csv)
 from qnet.errors import PolicyContractError
 from qnet.markov import validate_chain
-from qnet.model import enumerate_control_set, validate_arrivals, validate_network
+from qnet.model import (Network, count_controls, enumerate_control_set, validate_arrivals,
+                        validate_network)
+from qnet.optim import binary_chunks
 from qnet.policies import IdlePolicy, PolicySpec, RandomPolicy, make_policy
 from qnet.scenarios import scenario_example2
 
@@ -365,3 +369,107 @@ def test_trace_frees_its_arrays_without_gc():
         assert queues() is None
     finally:
         gc.enable()
+
+
+def _malformed(v):
+    """Controls that are not int64 vectors of length n_v, built from the
+    int64 0/1 control v: some hold the same numbers, some the same bytes."""
+    two = v.copy()
+    two[-1] = 2
+    return [v.astype(np.float64), v.astype(bool), v.astype(np.int8), two, v[:-1], v[None, :],
+            np.frombuffer(v.tobytes(), dtype=np.int8), v.astype(str), v.astype(str).tolist(),
+            [None] + v[1:].tolist()]
+
+
+def _step_verdict(net, q, s, v, a, seed):
+    """step's verdict at (q, s) as check_feasible reports one, with the record."""
+    try:
+        _, rec = step(net, SimState(0, q, s), v, a, 0, make_streams(seed).links)
+    except PolicyContractError as err:
+        family, index = str(err).split(": ")[1].split(" violation at index ")
+        return (False, family, None if index == "None" else int(index)), err.diagnostic
+    return (True, None, None), rec
+
+
+def test_step_memo_answers_like_check_feasible(rng):
+    # each control steps on a fresh network (a memo miss) and on one whose
+    # memo admitted every control with C v <= c (a hit wherever q allows it)
+    families = set()
+    for _ in range(25):
+        net = random_network(rng, n_s=int(rng.integers(1, 4)), allow_copy=True)
+        raw = net.to_json()
+        raw["S_req"] = (rng.random((net.n_q, net.n_v)) < 0.3).astype(int).tolist()
+        net = validate_network(raw)
+        controls = [v for chunk in binary_chunks(net.n_v, 64) for v in chunk.astype(np.int64)]
+        warm = dataclasses.replace(net)
+        full = np.full(net.n_q, net.n_v, dtype=np.int64)
+        for v in controls:
+            if check_feasible(net, full, v):
+                step(warm, SimState(0, full, 0), v, np.zeros(net.n_q, dtype=np.int64), 0,
+                     make_streams(0).links)
+        assert 0 < len(warm._admitted) == count_controls(net) and not net._admitted
+        for _ in range(4):
+            q = rng.integers(0, 3, size=net.n_q)
+            s = int(rng.integers(net.n_s))
+            a = rng.integers(0, 3, size=net.n_q)
+            seed = int(rng.integers(1000))
+            for v in controls + _malformed(controls[int(rng.integers(1, len(controls)))]):
+                res = check_feasible(net, q, v)
+                families.add(res.family)
+                for target in (dataclasses.replace(net), warm):
+                    verdict, rec = _step_verdict(target, q, s, v, a, seed)
+                    assert verdict == (res.ok, res.family, res.index), (v, q)
+                    if not res.ok:
+                        continue
+                    # coins: one uniform per active link strictly between 0
+                    # and 1, in ascending link order
+                    coins = make_streams(seed).links
+                    want = np.array([w >= 1.0 or 0.0 < w and coins.random() < w if on else False
+                                     for on, w in zip(np.asarray(v, dtype=bool), net.W[s])])
+                    assert rec.v.dtype == np.int64 and np.array_equal(rec.v, np.asarray(v))
+                    assert np.array_equal(rec.m, want)
+                    assert np.array_equal(rec.q_after, q + net.R @ (rec.m * rec.v) + a)
+                    assert rec.delivered == int(rec.m @ net.delivery)
+    assert families == {None, "binary", "constituency", "positiveness", "source"}
+
+
+def test_step_memo_is_a_cache():
+    # filled as controls are first seen, never from the control set: a
+    # 24-link network without C rows has 2^24 controls
+    net = validate_network({"R": (-np.eye(24, dtype=int)).tolist(), "W": [[0.5] * 24]})
+    q = np.ones(24, dtype=np.int64)
+    start = time.perf_counter()
+    for v in np.eye(24, dtype=np.int64):
+        step(net, SimState(0, q, 0), v, np.zeros(24, dtype=np.int64), 0, make_streams(0).links)
+    assert time.perf_counter() - start < 1.0 and len(net._admitted) == 24
+    # and it stops growing at MAX_ADMITTED controls
+    for v in next(binary_chunks(24, MAX_ADMITTED + 8)).astype(np.int64):
+        step(net, SimState(0, q, 0), v, np.zeros(24, dtype=np.int64), 0, make_streams(0).links)
+    assert len(net._admitted) == MAX_ADMITTED
+    # not a field: equality, to_json and replace ignore it
+    fresh = dataclasses.replace(net)
+    assert "_admitted" not in {f.name for f in dataclasses.fields(Network)}
+    assert fresh._admitted == {} and fresh.to_json() == net.to_json()
+    # a RANDOM run admits at most the controls with C v <= c
+    sc = scenario_example2("blue")
+    run(sc.net, sc.chain, sc.arrivals, RandomPolicy(sc.net, make_streams(4).policy), 500,
+        make_streams(4))
+    assert 0 < len(sc.net._admitted) <= count_controls(sc.net)
+
+
+def test_queue_state_of_wrong_length_raises():
+    # example2 has two queues: one broadcast against them, three did not fit
+    sc = scenario_example2("red")
+    v = np.array([1, 0, 0])
+    shapes = ([1], [1, 0, 0], [[1, 0]])
+    for q in shapes:
+        with pytest.raises(ValueError, match=r"queue state must have shape \(2,\)"):
+            check_feasible(sc.net, q, v)
+    # nor does a memo hit accept one
+    step(sc.net, SimState(0, np.array([3, 3]), 0), v, np.zeros(2, dtype=np.int64), 0,
+         make_streams(0).links)
+    assert sc.net._admitted
+    for q in shapes:
+        with pytest.raises(ValueError, match=r"queue state must have shape \(2,\)"):
+            step(sc.net, SimState(0, np.array(q), 0), v, np.zeros(2, dtype=np.int64), 0,
+                 make_streams(0).links)

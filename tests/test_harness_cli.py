@@ -78,6 +78,26 @@ def test_aborted_run_recorded(monkeypatch):
     assert "aborted" in res.summary_csv()
 
 
+@pytest.mark.parametrize("control", [["1", "0", "0"], [None, 0, 0]], ids=["strings", "none"])
+def test_malformed_control_aborts_the_run(monkeypatch, control):
+    # a control whose first entry is not a number is a binary violation,
+    # never a stray numpy error out of the run
+    import qnet.harness as harness
+    from qnet.dynamics import check_feasible
+
+    class Bad:
+        def decide(self, q, s):
+            return control
+
+    sc = small_example2(slots=50, reps=1)
+    res = check_feasible(sc.net, [3, 3], control)
+    assert (res.ok, res.family, res.index) == (False, "binary", 0)
+    monkeypatch.setattr(harness, "make_policy", lambda *a, **k: Bad())
+    out = run_experiment(sc, policies=[PolicySpec("MW")])
+    assert out.runs[0].verdict == "aborted"
+    assert "binary violation at index 0" in out.runs[0].error
+
+
 def test_region_rows_mw_axis(tmp_path):
     sc = scenario_example2("red")
     rows = region_rows(sc, "mw", n_rays=2)   # rays (1,0) and (0,1)
