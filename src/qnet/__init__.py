@@ -7,7 +7,7 @@ its one-step case), in-repo binary/linear-program solvers, stability-region
 analysis, and a deterministic experiment harness.
 """
 
-from .dynamics import (Feasibility, RngStreams, SimState, StepRecord, Trace,
+from .dynamics import (Feasibility, RngStreams, StepRecord, Trace,
                        check_feasible, make_streams, run, trace_to_csv)
 from .errors import (EnumerationLimitError, PolicyContractError,
                      SolverStallError, ValidationError)

@@ -8,6 +8,7 @@ see identical arrival and chain realizations slot by slot.
 
 from __future__ import annotations
 
+from array import array
 from collections.abc import Sequence
 from dataclasses import dataclass
 from numbers import Number
@@ -44,14 +45,9 @@ def make_streams(seed: int, replication: int = 0) -> RngStreams:
 
 
 @dataclass
-class SimState:
-    t: int
-    q: np.ndarray
-    s: int
-
-
-@dataclass
 class StepRecord:
+    """One slot as arrays: a rejected control's diagnostic, or a row of a
+    `Trace` read through `trace.records`."""
     t: int
     s: int
     q_before: np.ndarray
@@ -82,6 +78,15 @@ def queue_need(net: Network, v) -> np.ndarray:
     return np.maximum(-(v @ net.R_minus.T), v @ net.S_req.T > 0)
 
 
+def _as_control(v) -> np.ndarray:
+    """v as an array; a ragged v, which numpy cannot read as numbers, as a
+    vector of its entries."""
+    try:
+        return np.asarray(v)
+    except ValueError:
+        return np.fromiter(v, dtype=object)
+
+
 def _first_non_binary(values: list) -> int | None:
     """Index of the first entry that is not the number 0 or 1, else None."""
     for j, x in enumerate(values):
@@ -96,13 +101,13 @@ def check_feasible(net: Network, q, v) -> Feasibility:
     A violation reports the first family that fails, in that order, and the
     first violated entry (binary: the first entry that is not the number 0
     or 1, or None when v is not a vector of length n_v), row (constituency,
-    positiveness) or link (source).  Any array-like control gets a verdict;
-    only a queue state that is not a vector of length n_q raises `ValueError`.
+    positiveness) or link (source).  Any array-like control, a ragged one
+    included, gets a verdict; only a queue state that is not a vector of length n_q raises `ValueError`.
     """
     q = np.asarray(q)
     if q.shape != (net.n_q,):
         raise ValueError(f"queue state must have shape ({net.n_q},), got {q.shape}")
-    v = np.asarray(v)
+    v = _as_control(v)
     if v.shape != (net.n_v,):
         return Feasibility(False, "binary", None)
     values = v.tolist()
@@ -127,6 +132,7 @@ def check_feasible(net: Network, q, v) -> Feasibility:
 
 class _Admitted(NamedTuple):
     """What a slot reads of a control that `check_feasible` has accepted."""
+    v: tuple         # the control, one int per link
     need: list       # queue_need, one int per queue
     links: list      # active links, ascending
     cols: list       # per active link, its R column as (queue, entry) pairs, nonzeros only
@@ -136,19 +142,22 @@ class _Admitted(NamedTuple):
 
 def _admit(net: Network, v: np.ndarray) -> _Admitted:
     links = v.nonzero()[0].tolist()
-    return _Admitted(queue_need(net, v).tolist(), links,
+    return _Admitted(tuple(v.tolist()), queue_need(net, v).tolist(), links,
                      [[(i, r) for i, r in enumerate(col) if r] for col in net.R.T[links].tolist()],
                      net.delivery[links].tolist(), net.W[:, links].tolist())
 
 
-def step(net: Network, state: SimState, v, a, s_next: int,
-         links: np.random.Generator) -> tuple[SimState, StepRecord]:
-    """One slot:  q' = q + R diag(m) v + a, then the chain moves to s_next.
+def step(net: Network, t: int, q: tuple, s: int, v, a,
+         links: np.random.Generator) -> tuple[tuple, tuple, list, int]:
+    """Slot t at chain state s:  q' = q + R diag(m) v + a.
 
-    `a` and `s_next` are the slot's drawn arrivals and next chain state.
-    Coin flips are drawn from `links` per activated link only, in ascending
-    link order; non-activated links record m = 0.  A control that is not
-    a feasible 0/1 vector of length n_v raises `PolicyContractError`.
+    q is the queue state before the slot, a tuple of n_q ints, and `a` the
+    slot's drawn arrivals, n_q ints.  Returns (q', v, m, delivered) as
+    Python values: q' a tuple, v the admitted control as a tuple of ints,
+    m the link successes as a list.  Coin flips are drawn from `links` per
+    activated link only, in ascending link order; non-activated links get
+    m = 0.  A control that is not a feasible 0/1 vector of length n_v
+    raises `PolicyContractError`, with the slot as a `StepRecord`.
 
     An int64 control of shape (n_v,) that `check_feasible` has accepted once
     enters the network's memo of admitted controls, which is filled as
@@ -160,35 +169,29 @@ def step(net: Network, state: SimState, v, a, s_next: int,
     key = (v.tobytes() if isinstance(v, np.ndarray) and v.dtype == np.int64
            and v.shape == (net.n_v,) else None)
     entry = net._admitted.get(key)
-    q = state.q.tolist()
-    if (entry is None or state.q.shape != (net.n_q,)
-            or not all(map(ge, q, entry.need))):
-        feas = check_feasible(net, state.q, v)
+    if entry is None or len(q) != net.n_q or not all(map(ge, q, entry.need)):
+        feas = check_feasible(net, q, v)
         if not feas:
             raise PolicyContractError(
-                f"infeasible control at t={state.t}: {feas.family} violation at index {feas.index}",
-                diagnostic=StepRecord(state.t, state.s, state.q.copy(), np.array(v),
+                f"infeasible control at t={t}: {feas.family} violation at index {feas.index}",
+                diagnostic=StepRecord(t, s, np.array(q), _as_control(v).copy(),
                                       np.zeros(net.n_v, dtype=np.int64),
-                                      np.zeros(net.n_q, dtype=np.int64),
-                                      state.q.copy(), 0))
-        v = np.asarray(v, dtype=np.int64)
-        entry = _admit(net, v)
+                                      np.zeros(net.n_q, dtype=np.int64), np.array(q), 0))
+        entry = _admit(net, np.asarray(v, dtype=np.int64))
         if key is not None and len(net._admitted) < MAX_ADMITTED:
             net._admitted[key] = entry
     # the slot on Python ints: a few links and queues
     m = [0] * net.n_v
     delivered = 0
-    q_after = list(map(add, q, a.tolist()))
-    for j, w, col, d in zip(entry.links, entry.W[state.s], entry.cols, entry.delivery):
+    q_after = list(map(add, q, a))
+    for j, w, col, d in zip(entry.links, entry.W[s], entry.cols, entry.delivery):
         # w == 1: certain success, w == 0: certain failure, neither draws
         if w >= 1.0 or w > 0.0 and links.random() < w:
             m[j] = 1
             delivered += d
             for i, r in col:
                 q_after[i] += r
-    q_after = np.array(q_after)
-    rec = StepRecord(state.t, state.s, state.q, v, np.array(m), a, q_after, delivered)
-    return SimState(state.t + 1, q_after, s_next), rec
+    return tuple(q_after), entry.v, m, delivered
 
 
 @dataclass(eq=False)
@@ -266,6 +269,11 @@ def _initial_queues(net: Network, q0) -> np.ndarray:
     return raw.astype(np.int64)
 
 
+def _column(buf: array, *shape: int) -> np.ndarray:
+    """An int64 column over the buffer, without a copy."""
+    return np.frombuffer(buf, dtype=np.int64).reshape(shape)
+
+
 def run(net: Network, chain: MarkovChain, arrivals: ArrivalProcess, policy,
         slots: int, streams: RngStreams, q0=None) -> Trace:
     """Drive the network for `slots` slots under `policy`.
@@ -273,36 +281,37 @@ def run(net: Network, chain: MarkovChain, arrivals: ArrivalProcess, policy,
     The start state is `chain.s0`, or else drawn from `chain.sigma0`.  The
     chain path and the arrivals are drawn for the whole run up front, one
     uniform per slot and one per queue per slot, the same draws a slot at a
-    time would take.  The policy is consulted once per slot with (q_t, s_t).
-    An infeasible policy decision aborts the run with the diagnostic
-    attached.  Identical inputs, streams seeded alike, reproduce the trace
-    bit for bit.
+    time would take.  The policy is consulted once per slot with (q_t, s_t),
+    q_t a tuple of ints.  An infeasible policy decision aborts the run with
+    the diagnostic attached.  Identical inputs, streams seeded alike,
+    reproduce the trace bit for bit.
     """
-    q = _initial_queues(net, q0)
+    q0 = _initial_queues(net, q0)
     # a sigma0 start state takes one chain-stream uniform; a fixed s0 takes none
     s = chain.s0 if chain.s0 is not None else sample_next(0, chain.sigma0[None, :], streams.chain)
     path = [s] + next_states(s, chain.P, streams.chain.random(slots).tolist())
-    trace = Trace(q0=q, S=np.array(path[:-1], dtype=np.int64),
-                  Q=np.empty((slots, net.n_q), dtype=np.int64),
-                  V=np.empty((slots, net.n_v), dtype=np.int64),
-                  M=np.empty((slots, net.n_v), dtype=np.int64),
-                  A=arrivals.sample_slots(0, slots, streams.arrivals),
-                  D=np.empty(slots, dtype=np.int64))
-    state = SimState(0, q, s)
+    A = arrivals.sample_slots(0, slots, streams.arrivals)
+    # each slot's arrivals as a tuple of ints, read in turn from A's buffer
+    arrived = zip(*[iter(memoryview(A.ravel()))] * net.n_q)
+    # the columns Q, V, M and D, row after row
+    Q, V, M, D = array("q"), array("q"), array("q"), array("q")
     # one-slot change bounds, per queue; summing them gives the window bounds
     lo = -net.n_v
     hi = (net.n_v + net.a_hat).tolist()
-    for t in range(slots):
-        v = policy.decide(state.q, state.s)
-        state, rec = step(net, state, v, trace.A[t], path[t + 1], streams.links)
-        # a few queues: a Python loop over lists beats numpy's per-call overhead
-        if not all(after >= 0 and lo <= after - before <= h for after, before, h
-                   in zip(rec.q_after.tolist(), rec.q_before.tolist(), hi)):
+    q = tuple(q0.tolist())
+    for t, s, a in zip(range(slots), path, arrived):
+        q_after, v, m, delivered = step(net, t, q, s, policy.decide(q, s), a, streams.links)
+        if not all(after >= 0 and lo <= after - before <= h
+                   for after, before, h in zip(q_after, q, hi)):
             raise AssertionError(f"state-evolution invariant violated at t={t}")
-        trace.Q[t] = rec.q_after
-        trace.V[t] = rec.v
-        trace.M[t] = rec.m
-        trace.D[t] = rec.delivered
+        Q.extend(q_after)
+        V.extend(v)
+        M.extend(m)
+        D.append(delivered)
+        q = q_after
+    trace = Trace(q0=q0, S=np.array(path[:-1], dtype=np.int64), Q=_column(Q, slots, net.n_q),
+                  V=_column(V, slots, net.n_v), M=_column(M, slots, net.n_v), A=A,
+                  D=_column(D, slots))
     for arr in (trace.q0, trace.S, trace.Q, trace.V, trace.M, trace.A, trace.D):
         arr.setflags(write=False)
     return trace

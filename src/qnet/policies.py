@@ -1,8 +1,11 @@
 """Control policies: max-weight, receding-horizon, fixed-trajectory, baselines.
 
 All policies map the observed (queue vector, chain state) to a feasible
-binary control.  Ties between cost-equal optima are always broken toward the
-lexicographically smallest trajectory, so runs are reproducible.
+binary control.  `dynamics.run` calls `decide(q, s)` once per slot with q a
+tuple of ints, which no policy can alter, and copies the values of the
+control returned before the next call, so a policy may rewrite and return
+one array every slot.  Ties between cost-equal optima are always broken toward
+the lexicographically smallest trajectory, so runs are reproducible.
 """
 
 from __future__ import annotations
@@ -131,7 +134,7 @@ class PncPolicy:
         self._programs: dict = {}   # chain state -> its compiled program
 
     def _trajectory(self, q, s) -> tuple:
-        key = (tuple(np.asarray(q).tolist()), int(s))
+        key = (tuple(q), int(s))
         traj = self._memo.get(key)
         if traj is None:
             program = self._programs.get(key[1])
@@ -200,7 +203,7 @@ class FpncPolicy(PncPolicy):
                 traj.needs = queue_need(self.net, np.array(traj)).tolist()
             self._pending = list(zip(traj, traj.needs))
         v, need = self._pending.pop(0)
-        if all(x >= n for x, n in zip(np.asarray(q).tolist(), need)):
+        if all(x >= n for x, n in zip(q, need)):
             return v
         return repair_control(self.net, q, v)
 

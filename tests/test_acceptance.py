@@ -62,6 +62,12 @@ def test_criterion_1_solver_oracle_equivalence():
 
 
 def test_criterion_2_mw_equals_pnc_h1():
+    """MW's decision equals PNC-H1's and the back-pressure oracle's.
+
+    `MwPolicy` is `PncPolicy(H=1)` by construction, so the first comparison
+    only guards that subclass; the comparison with the back-pressure oracle,
+    which enumerates the control set, is the independent check.
+    """
     rng = np.random.default_rng(202)
     n_instances = 10_000
     for k in range(n_instances):

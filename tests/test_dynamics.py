@@ -9,8 +9,8 @@ import weakref
 import numpy as np
 import pytest
 
-from qnet.dynamics import (MAX_ADMITTED, SimState, Trace, check_feasible, make_streams, run,
-                           step, trace_csv_header, trace_to_csv)
+from qnet.dynamics import (MAX_ADMITTED, Trace, check_feasible, make_streams, run, step,
+                           trace_csv_header, trace_to_csv)
 from qnet.errors import PolicyContractError
 from qnet.markov import validate_chain
 from qnet.model import (Network, count_controls, enumerate_control_set, validate_arrivals,
@@ -52,27 +52,25 @@ def test_check_feasible_source_requirement():
 def test_step_certain_success():
     arr = validate_arrivals({"kind": "constant", "value": [0, 0]}, 2)
     streams = make_streams(0)
-    state = SimState(0, np.array([1, 1]), 0)
-    nxt, rec = step(RELAY, state, [1, 1], arr.sample(0, streams.arrivals), 0, streams.links)
-    assert rec.q_after.tolist() == [0, 1]
-    assert rec.delivered == 1
-    assert nxt.t == 1
+    q_after, _, _, delivered = step(RELAY, 0, (1, 1), 0, [1, 1],
+                                    arr.sample(0, streams.arrivals).tolist(), streams.links)
+    assert q_after == (0, 1)
+    assert delivered == 1
 
 
 def test_step_idle_keeps_queues():
     arr = validate_arrivals({"kind": "constant", "value": [1, 0]}, 2)
     streams = make_streams(0)
-    nxt, rec = step(RELAY, SimState(0, np.array([3, 2]), 0), [0, 0],
-                    arr.sample(0, streams.arrivals), 0, streams.links)
-    assert rec.q_after.tolist() == [4, 2]
-    assert rec.m.tolist() == [0, 0]
+    q_after, _, m, _ = step(RELAY, 0, (3, 2), 0, [0, 0], arr.sample(0, streams.arrivals).tolist(),
+                            streams.links)
+    assert q_after == (4, 2)
+    assert m == [0, 0]
 
 
 def test_step_rejects_infeasible():
     arr = zero_arrivals(2)
     with pytest.raises(PolicyContractError):
-        step(RELAY, SimState(0, np.array([0, 0]), 0), [1, 0], arr.sample(0, None), 0,
-             make_streams(0).links)
+        step(RELAY, 0, (0, 0), 0, [1, 0], arr.sample(0, None).tolist(), make_streams(0).links)
 
 
 def test_step_record_identity(rng):
@@ -84,10 +82,11 @@ def test_step_record_identity(rng):
         q = rng.integers(0, 5, size=net.n_q)
         vs = [v for v in enumerate_control_set(net) if check_feasible(net, q, v).ok]
         v = vs[rng.integers(len(vs))]
-        _, rec = step(net, SimState(0, q, 0), v, arr.sample(0, None), 0,
-                      make_streams(int(rng.integers(1000))).links)
-        assert np.array_equal(rec.q_after - rec.q_before, net.R @ (rec.m * rec.v) + rec.a)
-        assert (rec.m[rec.v == 0] == 0).all()
+        a = arr.sample(0, None)
+        q_after, v, m = map(np.array, step(net, 0, tuple(q.tolist()), 0, v, a.tolist(),
+                                           make_streams(int(rng.integers(1000))).links)[:3])
+        assert np.array_equal(q_after - q, net.R @ (m * v) + a)
+        assert (m[v == 0] == 0).all()
 
 
 def test_run_idle_zero_arrivals_constant():
@@ -205,6 +204,52 @@ def test_mass_accounting_conventional(rng):
         for rec in trace.records:
             total += int(rec.a.sum()) - rec.delivered
             assert rec.q_after.sum() == total
+
+
+class _OneArray:
+    """Returns one int64 array, rewritten in place each slot with a RANDOM
+    choice, and logs the q it is given and the control it returns."""
+
+    def __init__(self, net, rng):
+        self.random = RandomPolicy(net, rng)
+        self.v = np.zeros(net.n_v, dtype=np.int64)
+        self.seen, self.returned = [], []
+
+    def decide(self, q, s):
+        self.seen.append(q)
+        self.v[:] = self.random.decide(q, s)
+        self.returned.append(self.v.tolist())
+        return self.v
+
+
+def test_policy_sees_tuples_and_trace_keeps_each_control():
+    sc = scenario_example2("blue")
+    policy = _OneArray(sc.net, make_streams(2).policy)
+    trace = run(sc.net, sc.chain, sc.arrivals, policy, 300, make_streams(2), q0=[2, 1])
+    assert len({tuple(v) for v in policy.returned}) > 1
+    # the row of slot t is the value returned at slot t, not the array's last value
+    assert trace.V.tolist() == policy.returned
+    # each q is an immutable tuple of ints: the policy cannot alter the run's state
+    assert all(type(q) is tuple and {type(x) for x in q} == {int} for q in policy.seen)
+    assert policy.seen == [tuple(row) for row in [trace.q0.tolist()] + trace.Q[:-1].tolist()]
+
+
+@pytest.mark.parametrize("slots", [0, 1])
+def test_runs_of_zero_and_one_slots(slots):
+    sc = scenario_example2("red")
+    n_q, n_v = sc.net.n_q, sc.net.n_v
+    for spec in (PolicySpec("IDLE"), PolicySpec("PNC", 2)):
+        trace = run(sc.net, sc.chain, sc.arrivals, make_policy(spec, sc.net, sc.chain, sc.arrivals),
+                    slots, make_streams(0), q0=[1, 2])
+        shapes = {"q0": (n_q,), "S": (slots,), "Q": (slots, n_q), "V": (slots, n_v),
+                  "M": (slots, n_v), "A": (slots, n_q), "D": (slots,)}
+        for name, shape in shapes.items():
+            col = getattr(trace, name)
+            assert col.shape == shape and col.dtype == np.int64, name
+            assert not col.flags.writeable, name
+        assert trace.slots == len(trace.records) == slots
+    if slots:
+        assert trace.records[0].q_before.tolist() == [1, 2]
 
 
 def test_trace_csv_schema():
@@ -378,17 +423,18 @@ def _malformed(v):
     two[-1] = 2
     return [v.astype(np.float64), v.astype(bool), v.astype(np.int8), two, v[:-1], v[None, :],
             np.frombuffer(v.tobytes(), dtype=np.int8), v.astype(str), v.astype(str).tolist(),
-            [None] + v[1:].tolist()]
+            [None] + v[1:].tolist(), [[1]] + v[1:].tolist()]
 
 
 def _step_verdict(net, q, s, v, a, seed):
-    """step's verdict at (q, s) as check_feasible reports one, with the record."""
+    """step's verdict at (q, s) as check_feasible reports one, with what
+    step returned, or the diagnostic record."""
     try:
-        _, rec = step(net, SimState(0, q, s), v, a, 0, make_streams(seed).links)
+        out = step(net, 0, tuple(q.tolist()), s, v, a.tolist(), make_streams(seed).links)
     except PolicyContractError as err:
         family, index = str(err).split(": ")[1].split(" violation at index ")
         return (False, family, None if index == "None" else int(index)), err.diagnostic
-    return (True, None, None), rec
+    return (True, None, None), out
 
 
 def test_step_memo_answers_like_check_feasible(rng):
@@ -402,11 +448,10 @@ def test_step_memo_answers_like_check_feasible(rng):
         net = validate_network(raw)
         controls = [v for chunk in binary_chunks(net.n_v, 64) for v in chunk.astype(np.int64)]
         warm = dataclasses.replace(net)
-        full = np.full(net.n_q, net.n_v, dtype=np.int64)
+        full = (net.n_v,) * net.n_q
         for v in controls:
             if check_feasible(net, full, v):
-                step(warm, SimState(0, full, 0), v, np.zeros(net.n_q, dtype=np.int64), 0,
-                     make_streams(0).links)
+                step(warm, 0, full, 0, v, [0] * net.n_q, make_streams(0).links)
         assert 0 < len(warm._admitted) == count_controls(net) and not net._admitted
         for _ in range(4):
             q = rng.integers(0, 3, size=net.n_q)
@@ -417,7 +462,7 @@ def test_step_memo_answers_like_check_feasible(rng):
                 res = check_feasible(net, q, v)
                 families.add(res.family)
                 for target in (dataclasses.replace(net), warm):
-                    verdict, rec = _step_verdict(target, q, s, v, a, seed)
+                    verdict, out = _step_verdict(target, q, s, v, a, seed)
                     assert verdict == (res.ok, res.family, res.index), (v, q)
                     if not res.ok:
                         continue
@@ -426,10 +471,12 @@ def test_step_memo_answers_like_check_feasible(rng):
                     coins = make_streams(seed).links
                     want = np.array([w >= 1.0 or 0.0 < w and coins.random() < w if on else False
                                      for on, w in zip(np.asarray(v, dtype=bool), net.W[s])])
-                    assert rec.v.dtype == np.int64 and np.array_equal(rec.v, np.asarray(v))
-                    assert np.array_equal(rec.m, want)
-                    assert np.array_equal(rec.q_after, q + net.R @ (rec.m * rec.v) + a)
-                    assert rec.delivered == int(rec.m @ net.delivery)
+                    q_after, v_out, m, delivered = out
+                    assert type(v_out) is tuple and {type(x) for x in v_out} == {int}
+                    assert np.array_equal(v_out, np.asarray(v))
+                    assert np.array_equal(m, want)
+                    assert np.array_equal(q_after, q + net.R @ (np.multiply(m, v_out)) + a)
+                    assert delivered == int(np.dot(m, net.delivery))
     assert families == {None, "binary", "constituency", "positiveness", "source"}
 
 
@@ -437,14 +484,14 @@ def test_step_memo_is_a_cache():
     # filled as controls are first seen, never from the control set: a
     # 24-link network without C rows has 2^24 controls
     net = validate_network({"R": (-np.eye(24, dtype=int)).tolist(), "W": [[0.5] * 24]})
-    q = np.ones(24, dtype=np.int64)
+    q = (1,) * 24
     start = time.perf_counter()
     for v in np.eye(24, dtype=np.int64):
-        step(net, SimState(0, q, 0), v, np.zeros(24, dtype=np.int64), 0, make_streams(0).links)
+        step(net, 0, q, 0, v, [0] * 24, make_streams(0).links)
     assert time.perf_counter() - start < 1.0 and len(net._admitted) == 24
     # and it stops growing at MAX_ADMITTED controls
     for v in next(binary_chunks(24, MAX_ADMITTED + 8)).astype(np.int64):
-        step(net, SimState(0, q, 0), v, np.zeros(24, dtype=np.int64), 0, make_streams(0).links)
+        step(net, 0, q, 0, v, [0] * 24, make_streams(0).links)
     assert len(net._admitted) == MAX_ADMITTED
     # not a field: equality, to_json and replace ignore it
     fresh = dataclasses.replace(net)
@@ -466,10 +513,8 @@ def test_queue_state_of_wrong_length_raises():
         with pytest.raises(ValueError, match=r"queue state must have shape \(2,\)"):
             check_feasible(sc.net, q, v)
     # nor does a memo hit accept one
-    step(sc.net, SimState(0, np.array([3, 3]), 0), v, np.zeros(2, dtype=np.int64), 0,
-         make_streams(0).links)
+    step(sc.net, 0, (3, 3), 0, v, [0, 0], make_streams(0).links)
     assert sc.net._admitted
     for q in shapes:
         with pytest.raises(ValueError, match=r"queue state must have shape \(2,\)"):
-            step(sc.net, SimState(0, np.array(q), 0), v, np.zeros(2, dtype=np.int64), 0,
-                 make_streams(0).links)
+            step(sc.net, 0, tuple(q), 0, v, [0, 0], make_streams(0).links)

@@ -78,7 +78,8 @@ def test_aborted_run_recorded(monkeypatch):
     assert "aborted" in res.summary_csv()
 
 
-@pytest.mark.parametrize("control", [["1", "0", "0"], [None, 0, 0]], ids=["strings", "none"])
+@pytest.mark.parametrize("control", [["1", "0", "0"], [None, 0, 0], [[1], 0, 0]],
+                         ids=["strings", "none", "ragged"])
 def test_malformed_control_aborts_the_run(monkeypatch, control):
     # a control whose first entry is not a number is a binary violation,
     # never a stray numpy error out of the run
