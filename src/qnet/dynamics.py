@@ -334,5 +334,6 @@ def trace_to_csv(trace: Trace, net: Network) -> str:
     """One row per slot; queue columns show the post-slot state."""
     rows = np.column_stack((np.arange(trace.slots), trace.S, trace.Q, trace.V, trace.M,
                             trace.A, trace.D)).tolist()
-    lines = [trace_csv_header(net)] + [",".join(map(str, row)) for row in rows]
+    row = ",".join(["%d"] * (3 + 2 * (net.n_q + net.n_v)))
+    lines = [trace_csv_header(net)] + [row % tuple(r) for r in rows]
     return "\n".join(lines) + "\n"

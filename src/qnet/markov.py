@@ -39,13 +39,10 @@ class MarkovChain:
 def validate_chain(raw: dict) -> MarkovChain:
     if not isinstance(raw, dict):
         raise ValidationError("chain", f"expected an object, got {raw!r}")
-    P = _as_array(raw.get("P"), "chain.P", np.float64)
-    if P.ndim != 2 or P.shape[0] != P.shape[1] or P.shape[0] == 0:
+    P = _as_array(raw.get("P"), "chain.P", np.float64, shape=(None, None), lo=0, hi=1)
+    if P.shape[0] != P.shape[1] or P.shape[0] == 0:
         raise ValidationError("chain.P", f"expected a square matrix, got shape {P.shape}")
     n_s = P.shape[0]
-    if (P < 0).any() or (P > 1).any():
-        i, j = np.argwhere((P < 0) | (P > 1))[0]
-        raise ValidationError(f"chain.P[{i}][{j}]", f"entry {P[i, j]} outside [0, 1]")
     rows = P.sum(axis=1)
     if not np.allclose(rows, 1.0, atol=ROW_SUM_TOL, rtol=0):
         i = int(np.argmax(np.abs(rows - 1.0)))
@@ -55,14 +52,9 @@ def validate_chain(raw: dict) -> MarkovChain:
     if (s0 is None) == (sigma0 is None):
         raise ValidationError("chain", "exactly one of s0, sigma0 is required")
     if s0 is not None:
-        index = _as_array(s0, "chain.s0")
-        if index.ndim or not 0 <= index < n_s:
-            raise ValidationError("chain.s0", f"expected a state index in 0..{n_s - 1}, "
-                                              f"got {s0!r}")
-        return MarkovChain(n_s=n_s, P=P, s0=int(index))
-    sigma0 = _as_array(sigma0, "chain.sigma0", np.float64)
-    if sigma0.shape != (n_s,):
-        raise ValidationError("chain.sigma0", f"expected length {n_s}")
+        s0 = _as_array(s0, "chain.s0", shape=(), lo=0, hi=n_s - 1)
+        return MarkovChain(n_s=n_s, P=P, s0=int(s0))
+    sigma0 = _as_array(sigma0, "chain.sigma0", np.float64, shape=(n_s,))
     # NaN fails the comparison, and an infinite entry the sum
     if not ((sigma0 >= 0).all() and abs(sigma0.sum() - 1.0) <= ROW_SUM_TOL):
         raise ValidationError("chain.sigma0", "must be nonnegative and sum to 1")

@@ -60,11 +60,14 @@ class Network:
         }
 
 
-def _as_array(raw, path: str, dtype=np.int64) -> np.ndarray:
-    """`raw` as an array of `dtype`, its entries checked before the cast.
+def _as_array(raw, path: str, dtype=np.int64, shape=None, lo=None, hi=None) -> np.ndarray:
+    """`raw` as an array of `dtype`, its entries, shape and range checked.
 
     Entries must be numbers, not bools or strings, and an integer field takes
-    integral values only: 1.5 or true is rejected, never cast to 1.
+    integral values only: 1.5 or true is rejected, never cast to 1.  `shape`
+    gives each axis's length, None matching any.  With `lo` given, every entry
+    lies in [lo, hi], where no `hi` means no upper bound; NaN lies outside.
+    An entry that fails is named by its index, as path[i][j].
     """
     try:
         arr = np.asarray(raw, dtype=dtype)
@@ -75,16 +78,24 @@ def _as_array(raw, path: str, dtype=np.int64) -> np.ndarray:
         if (isinstance(x, (bool, np.bool_)) or not isinstance(x, Real)
                 or integral and not float(x).is_integer()):
             kind = "an integer" if integral else "a number"
-            raise ValidationError(path + "".join(f"[{i}]" for i in idx),
-                                  f"expected {kind}, got {x!r}")
+            raise ValidationError(_entry_path(path, idx), f"expected {kind}, got {x!r}")
+    if shape is not None and (arr.ndim != len(shape) or any(
+            n is not None and n != m for n, m in zip(shape, arr.shape))):
+        want = ", ".join("*" if n is None else str(n) for n in shape)
+        raise ValidationError(path, f"expected shape ({want}), "
+                                    f"got ({', '.join(map(str, arr.shape))})")
+    if lo is not None:
+        top = np.inf if hi is None else hi
+        bad = np.argwhere(~((arr >= lo) & (arr <= top)))   # NaN fails both comparisons
+        if len(bad):
+            idx = tuple(bad[0])
+            raise ValidationError(_entry_path(path, idx),
+                                  f"entry {arr[idx]} outside [{lo}, {top}]")
     return arr
 
 
-def _as_int_matrix(raw, path: str) -> np.ndarray:
-    arr = _as_array(raw, path)
-    if arr.ndim != 2:
-        raise ValidationError(path, f"expected a 2-d matrix, got shape {arr.shape}")
-    return arr
+def _entry_path(path: str, idx: tuple) -> str:
+    return path + "".join(f"[{i}]" for i in idx)
 
 
 def validate_network(raw: dict) -> Network:
@@ -97,60 +108,33 @@ def validate_network(raw: dict) -> Network:
         raise ValidationError("network", f"expected an object, got {raw!r}")
     if "R" not in raw:
         raise ValidationError("network.R", "missing routing matrix")
-    R = _as_int_matrix(raw["R"], "network.R")
+    R = _as_array(raw["R"], "network.R", shape=(None, None), lo=-1, hi=1)
     n_q, n_v = R.shape
     if n_q == 0 or n_v == 0:
         raise ValidationError("network.R", "network needs at least one queue and one link")
-    bad = np.argwhere(~np.isin(R, (-1, 0, 1)))
-    if bad.size:
-        i, j = bad[0]
-        raise ValidationError(f"network.R[{i}][{j}]", f"entry {R[i, j]} outside {{-1, 0, +1}}")
     for j in range(n_v):
         if not R[:, j].any():
             warnings.warn(f"link {j} has an all-zero column (no effect on any queue)")
 
-    C = _as_int_matrix(raw.get("C", np.zeros((0, n_v))), "network.C")
-    if C.shape[1] != n_v:
-        raise ValidationError("network.C", f"expected {n_v} columns, got {C.shape[1]}")
-    if (C < 0).any():
-        i, j = np.argwhere(C < 0)[0]
-        raise ValidationError(f"network.C[{i}][{j}]", "constituency coefficients must be nonnegative")
-    c = _as_array(raw.get("c", np.zeros(C.shape[0])), "network.c")
-    if c.shape != (C.shape[0],):
-        raise ValidationError("network.c", f"expected length {C.shape[0]}, got {c.shape}")
-    if (c < 0).any():
-        raise ValidationError(f"network.c[{int(np.argwhere(c < 0)[0])}]", "bounds must be nonnegative")
+    C = _as_array(raw.get("C", np.zeros((0, n_v))), "network.C", shape=(None, n_v), lo=0)
+    c = _as_array(raw.get("c", np.zeros(C.shape[0])), "network.c", shape=(C.shape[0],), lo=0)
 
     W_raw = raw.get("W")
     if W_raw is None:
         raise ValidationError("network.W", "missing link success probabilities")
     W = _as_array(W_raw, "network.W", np.float64)
-    if W.ndim == 1:
-        W = W[None, :]
-    if W.ndim != 2 or W.shape[1] != n_v:
-        raise ValidationError("network.W", f"expected n_s x {n_v} diagonals, got shape {W.shape}")
-    bad = np.argwhere(~((W >= 0.0) & (W <= 1.0)))   # NaN fails both comparisons
-    if bad.size:
-        s, j = bad[0]
-        raise ValidationError(f"network.W[{s}][{j}]", f"probability {W[s, j]} outside [0, 1]")
+    W = _as_array(W[None, :] if W.ndim == 1 else W, "network.W", np.float64,
+                  shape=(None, n_v), lo=0, hi=1)
     n_s = W.shape[0]
 
     R_minus = np.minimum(R, 0)
     S_req = (R_minus < 0).astype(np.int64)
     if raw.get("S_req") is not None:
-        extra = _as_int_matrix(raw["S_req"], "network.S_req")
-        if extra.shape != (n_q, n_v):
-            raise ValidationError("network.S_req", f"expected shape {(n_q, n_v)}, got {extra.shape}")
-        if not np.isin(extra, (0, 1)).all():
-            raise ValidationError("network.S_req", "entries must be 0/1")
+        extra = _as_array(raw["S_req"], "network.S_req", shape=(n_q, n_v), lo=0, hi=1)
         # drain requirements implied by R are not overridable
         S_req = np.maximum(S_req, extra)
 
-    a_hat = _as_array(raw.get("a_hat", np.ones(n_q)), "network.a_hat")
-    if a_hat.shape != (n_q,):
-        raise ValidationError("network.a_hat", f"expected length {n_q}, got {a_hat.shape}")
-    if (a_hat < 0).any():
-        raise ValidationError("network.a_hat", "arrival bounds must be nonnegative")
+    a_hat = _as_array(raw.get("a_hat", np.ones(n_q)), "network.a_hat", shape=(n_q,), lo=0)
 
     neg_counts = (R == -1).sum(axis=0)
     pos_counts = (R == 1).sum(axis=0)
@@ -263,22 +247,21 @@ class ArrivalProcess:
 
 
 def _as_fraction(x, path: str) -> Fraction:
-    if isinstance(x, (bool, np.bool_)):
+    if isinstance(x, np.generic):
+        # a Python number, so that repr gives its decimal digits and a
+        # Fraction never keeps an np.int64 numerator, which overflows
+        x = x.item()
+    if isinstance(x, bool):
         raise ValidationError(path, f"expected an exact rate, got {x!r}")
     if isinstance(x, (list, tuple)) and len(x) == 2:
-        x = tuple(int(v) for v in _as_array(x, path))   # integral entries: [1.5, 2] fails at [0]
+        # integral entries: [1.5, 2] fails at [0]
+        x = tuple(int(v) for v in _as_array(x, path, shape=(2,)))
     try:
-        if isinstance(x, str):
-            return Fraction(x)
         if isinstance(x, tuple):
             return Fraction(*x)
-        if isinstance(x, int):
-            return Fraction(x)
-        if isinstance(x, float):
-            # exact via the decimal repr, so "0.45" means 9/20, not the
-            # nearest binary float
-            return Fraction(repr(x))
-        return Fraction(x)
+        # a float is exact via its decimal repr, so 0.45 means 9/20, not the
+        # nearest binary float
+        return Fraction(repr(x) if isinstance(x, float) else x)
     except (TypeError, ValueError, ZeroDivisionError) as exc:
         raise ValidationError(path, f"cannot interpret {x!r} as an exact rate ({exc})")
 
@@ -288,19 +271,13 @@ def validate_arrivals(raw: dict, n_q: int) -> ArrivalProcess:
         raise ValidationError("arrivals", f"expected an object, got {raw!r}")
     kind = raw.get("kind")
     if kind == "constant":
-        value = _as_array(raw.get("value"), "arrivals.value")
-        if value.shape != (n_q,):
-            raise ValidationError("arrivals.value", f"expected length {n_q}")
-        if (value < 0).any():
-            raise ValidationError("arrivals.value", "arrivals must be nonnegative")
+        value = _as_array(raw.get("value"), "arrivals.value", shape=(n_q,), lo=0)
         rate = tuple(Fraction(int(x)) for x in value)
         return ArrivalProcess(kind=kind, n_q=n_q, value=value, rate=rate, a_hat=value.copy())
     if kind == "deterministic-periodic":
-        pattern = _as_array(raw.get("pattern"), "arrivals.pattern")
-        if pattern.ndim != 2 or pattern.shape[1] != n_q or len(pattern) == 0:
-            raise ValidationError("arrivals.pattern", f"expected a nonempty (period, {n_q}) matrix")
-        if (pattern < 0).any():
-            raise ValidationError("arrivals.pattern", "arrivals must be nonnegative")
+        pattern = _as_array(raw.get("pattern"), "arrivals.pattern", shape=(None, n_q), lo=0)
+        if len(pattern) == 0:
+            raise ValidationError("arrivals.pattern", "expected at least one slot of arrivals")
         rate = tuple(Fraction(int(s), len(pattern)) for s in pattern.sum(axis=0))
         return ArrivalProcess(kind=kind, n_q=n_q, pattern=pattern, rate=rate,
                               a_hat=pattern.max(axis=0))
@@ -312,11 +289,7 @@ def validate_arrivals(raw: dict, n_q: int) -> ArrivalProcess:
         for i, pi in enumerate(p):
             if not 0 <= pi <= 1:
                 raise ValidationError(f"arrivals.p[{i}]", f"probability {pi} outside [0, 1]")
-        batch = _as_array(raw.get("batch", np.ones(n_q)), "arrivals.batch")
-        if batch.shape != (n_q,):
-            raise ValidationError("arrivals.batch", f"expected length {n_q}")
-        if (batch < 0).any():
-            raise ValidationError("arrivals.batch", "batch sizes must be nonnegative")
+        batch = _as_array(raw.get("batch", np.ones(n_q)), "arrivals.batch", shape=(n_q,), lo=0)
         rate = tuple(p[i] * int(batch[i]) for i in range(n_q))
         a_hat = np.where([pi > 0 for pi in p], batch, 0).astype(np.int64)
         return ArrivalProcess(kind=kind, n_q=n_q, p=p, batch=batch, rate=rate, a_hat=a_hat)

@@ -109,9 +109,7 @@ def validate_scenario(raw: dict) -> Scenario:
     check_run_settings({"slots": slots, "replications": replications, "seed": seed})
     q0 = None
     if raw.get("q0") is not None:
-        q0 = _as_array(raw["q0"], "q0")
-        if q0.shape != (net.n_q,) or (q0 < 0).any():
-            raise ValidationError("q0", f"expected {net.n_q} nonnegative integers")
+        q0 = _as_array(raw["q0"], "q0", shape=(net.n_q,), lo=0)
     try:
         region_scale = Fraction(str(raw.get("region_scale", 1)))
     except (ValueError, ZeroDivisionError):

@@ -8,9 +8,10 @@ import numpy as np
 import pytest
 
 from qnet.cli import main
-from qnet.harness import region_rows, run_experiment, write_region_csv
+from qnet.harness import region_rows, run_experiment, run_one, write_region_csv
 from qnet.policies import PolicySpec
 from qnet.scenarios import scenario_example1, scenario_example2
+from qnet.stability import MIN_ASSESS_SLOTS
 
 
 def small_example2(point="red", slots=300, reps=2):
@@ -76,6 +77,13 @@ def test_aborted_run_recorded(monkeypatch):
     assert res.runs[0].verdict == "aborted"
     assert "positiveness" in res.runs[0].error
     assert "aborted" in res.summary_csv()
+
+
+def test_short_run_is_inconclusive():
+    # too few slots to fit a slope: no verdict is drawn
+    sc = small_example2(slots=MIN_ASSESS_SLOTS - 1, reps=1)
+    res = run_one(sc, PolicySpec("MW"), 0)
+    assert (res.trace.slots, res.verdict, res.slope) == (MIN_ASSESS_SLOTS - 1, "inconclusive", 0.0)
 
 
 @pytest.mark.parametrize("control", [["1", "0", "0"], [None, 0, 0], [[1], 0, 0]],
@@ -192,6 +200,8 @@ SMALL_RED = scenario_example2("red", slots=20, replications=1).to_json()
     ("notes", "notes", 7),
     ("notes", "notes", ["a"]),
     ("notes", "notes", {"x": 1}),
+    # a range error names the entry, as a type error does
+    ("network.c[0]", "network", dict(SMALL_RED["network"], c=[-1])),
 ])
 def test_cli_malformed_fields_exit_2(tmp_path, capsys, path, field, value):
     # field None replaces the whole document
@@ -285,6 +295,19 @@ def test_cli_run_env_out_dir(tmp_path, capsys, monkeypatch):
     monkeypatch.setenv("QNET_OUT_DIR", str(tmp_path / "envout"))
     assert main(["run", "example1"]) == 0
     assert (tmp_path / "envout" / "example1__MW__rep0.csv").exists()
+
+
+def test_cli_run_exits_3_on_aborted_run(tmp_path, capsys, monkeypatch):
+    import qnet.harness as harness
+
+    class Infeasible:
+        def decide(self, q, s):
+            return np.array([0, 0, 1])   # synchronized drain from empty queues
+
+    monkeypatch.setattr(harness, "make_policy", lambda *a, **k: Infeasible())
+    assert main(["run", "example2", "--policy", "MW", "--slots", "10",
+                 "--replications", "1", "--out", str(tmp_path)]) == 3
+    assert "1 run(s) aborted" in capsys.readouterr().err
 
 
 def test_cli_conflicting_flags(capsys):

@@ -153,6 +153,12 @@ def test_bernoulli_batch_arrivals():
     assert ap.rate == (Fraction(9, 20), Fraction(1, 2))
     pair = validate_arrivals({"kind": "iid-bernoulli-batch", "p": [[9, 20], 0]}, 2)
     assert pair.p == (Fraction(9, 20), Fraction(0))
+    # numpy scalars are read as Python numbers: 0.5 by its decimal digits, and
+    # no Fraction keeps an overflowing np.int64 numerator
+    scalars = validate_arrivals({"kind": "iid-bernoulli-batch",
+                                 "p": [np.float64(0.5), np.int64(1)]}, 2)
+    assert scalars.p == (Fraction(1, 2), Fraction(1))
+    assert all(type(x.numerator) is int for x in scalars.p)
     rng = np.random.default_rng(3)
     draws = np.array([ap.sample(t, rng) for t in range(4000)])
     assert (draws <= ap.a_hat).all()
@@ -166,6 +172,9 @@ def test_bernoulli_batch_arrivals():
 def test_bernoulli_bad_probability():
     with pytest.raises(ValidationError, match=r"arrivals.p\[1\]"):
         validate_arrivals({"kind": "iid-bernoulli-batch", "p": ["0.5", "1.5"]}, 2)
+    # a pair of nested lists is no (numerator, denominator) pair
+    with pytest.raises(ValidationError, match=r"arrivals.p\[0\]"):
+        validate_arrivals({"kind": "iid-bernoulli-batch", "p": [[[1], [2]], "0"]}, 2)
 
 
 def test_unknown_kind():

@@ -1,13 +1,18 @@
 """Built-in scenario reconstructions and the JSON schema."""
 
+import functools
+import json
+import math
+import operator
+
 import numpy as np
 import pytest
 from fractions import Fraction
 
 from qnet.errors import ValidationError
 from qnet.model import enumerate_control_set
-from qnet.scenarios import (EXAMPLE2_POINTS, builtin_scenario, scenario_example1,
-                            scenario_example2, validate_scenario)
+from qnet.scenarios import (BUILTIN_BUILDERS, EXAMPLE2_POINTS, builtin_scenario,
+                            scenario_example1, scenario_example2, validate_scenario)
 
 
 def test_example1_shape():
@@ -91,6 +96,14 @@ def test_scenario_json_round_trip():
     assert [p.name for p in again.policies] == [p.name for p in sc.policies]
     assert again.region_scale == sc.region_scale
     assert again.slots == sc.slots and again.seed == sc.seed
+    # q0 and the arrival kinds no built-in example2 uses come back unchanged
+    for arrivals in ({"kind": "constant", "value": [1, 0]},
+                     {"kind": "deterministic-periodic", "pattern": [[1, 0], [0, 1]]}):
+        first = validate_scenario(dict(sc.to_json(), q0=[3, 1], arrivals=arrivals))
+        assert first.to_json()["arrivals"] == arrivals
+        again = validate_scenario(first.to_json())
+        assert again.to_json() == first.to_json()
+        assert again.q0.tolist() == [3, 1] and again.arrivals.rate == first.arrivals.rate
 
 
 WIDE_NETWORK = {"R": [[-1] * 25, [0] * 25], "C": [[1] * 25], "c": [1], "W": [[1.0] * 25]}
@@ -192,3 +205,37 @@ def test_scenario_validation_paths():
         assert info.value.path == "network.R"
     assert validate_scenario(dict(sc, network=WIDE_NETWORK,
                                   policies=[{"kind": "IDLE"}])).net.n_v == 25
+
+
+MALFORMED = (None, "x", [], [[1]], math.nan, math.inf, -math.inf, True, -1, 1.5, 10**30,
+             [[1], [1, 2]], [1, [1]])
+
+
+def _nodes(doc, where=()):
+    """The key path of every value inside a JSON document, depth first."""
+    items = (doc.items() if isinstance(doc, dict)
+             else enumerate(doc) if isinstance(doc, list) else ())
+    for key, child in items:
+        yield where + (key,)
+        yield from _nodes(child, where + (key,))
+
+
+@pytest.mark.filterwarnings("ignore:link .* has an all-zero column")
+def test_one_field_mutations_fail_with_validation_errors_only():
+    # each built-in scenario's JSON with one value, at any depth, replaced by a
+    # malformed one.  Some replacements stay valid (a seed of 10**30, notes of
+    # null); every other one must name its field, never escape as a numpy error
+    escaped = []
+    texts = {json.dumps(build().to_json()) for build in BUILTIN_BUILDERS.values()}
+    for text in sorted(texts):
+        for where in _nodes(json.loads(text)):
+            for value in MALFORMED:
+                doc = json.loads(text)
+                functools.reduce(operator.getitem, where[:-1], doc)[where[-1]] = value
+                try:
+                    validate_scenario(doc)
+                except ValidationError:
+                    pass
+                except Exception as exc:
+                    escaped.append((where, value, repr(exc)))
+    assert escaped == []
