@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import PolicyContractError
 from .markov import MarkovChain, next_states, sample_next
-from .model import ArrivalProcess, Network
+from .model import ArrivalProcess, Network, _as_array
 
 STREAM_IDS = {"links": 0, "arrivals": 1, "chain": 2, "policy": 3}
 # Entries of `step`'s memo per network.  An entry takes about 2.4 kB with
@@ -256,19 +256,6 @@ class _Records(Sequence):
                           int(tr.D[t]))
 
 
-def _initial_queues(net: Network, q0) -> np.ndarray:
-    """q0 as a new int64 vector; anything but n_q nonnegative integers raises
-    `ValueError`."""
-    if q0 is None:
-        return np.zeros(net.n_q, dtype=np.int64)
-    raw = np.asarray(q0)
-    if not (raw.shape == (net.n_q,) and raw.dtype.kind in "iuf"
-            and np.all(np.isfinite(raw) & (raw >= 0) & (raw == np.floor(raw)))):
-        raise ValueError(f"initial queue state must be {net.n_q} nonnegative integers, "
-                         f"got {q0!r}")
-    return raw.astype(np.int64)
-
-
 def _column(buf: array, *shape: int) -> np.ndarray:
     """An int64 column over the buffer, without a copy."""
     return np.frombuffer(buf, dtype=np.int64).reshape(shape)
@@ -282,11 +269,16 @@ def run(net: Network, chain: MarkovChain, arrivals: ArrivalProcess, policy,
     chain path and the arrivals are drawn for the whole run up front, one
     uniform per slot and one per queue per slot, the same draws a slot at a
     time would take.  The policy is consulted once per slot with (q_t, s_t),
-    q_t a tuple of ints.  An infeasible policy decision aborts the run with
-    the diagnostic attached.  Identical inputs, streams seeded alike,
-    reproduce the trace bit for bit.
+    q_t a tuple of ints, after its `reset()` if it has one.  An infeasible
+    policy decision aborts the run with the diagnostic attached.  `q0`, n_q
+    nonnegative integers (zeros if None), is checked as the scenario field
+    is, and copied.  Identical inputs, streams seeded alike, reproduce the
+    trace bit for bit.
     """
-    q0 = _initial_queues(net, q0)
+    q0 = (np.zeros(net.n_q, dtype=np.int64) if q0 is None
+          else _as_array(q0, "q0", shape=(net.n_q,), lo=0).copy())
+    if hasattr(policy, "reset"):
+        policy.reset()
     # a sigma0 start state takes one chain-stream uniform; a fixed s0 takes none
     s = chain.s0 if chain.s0 is not None else sample_next(0, chain.sigma0[None, :], streams.chain)
     path = [s] + next_states(s, chain.P, streams.chain.random(slots).tolist())

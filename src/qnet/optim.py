@@ -3,7 +3,9 @@
 The simplex runs in exact `Fraction` arithmetic with zero tolerance (used for
 region-membership and region-threshold programs), with Bland's rule for
 anti-cycling.  Binary trajectory programs, with a linear or a quadratic
-objective, are solved by branch and bound over per-slot control sets.
+objective, are solved by branch and bound over per-slot control sets, read
+from the tables of a compiled program (`BlockTables`); the enumeration
+oracle reads a program's dense rows instead.
 """
 
 from __future__ import annotations
@@ -191,9 +193,10 @@ class Bip:
     cost is floating point with a 1e-9 optimality tolerance.  Q is None for
     a linear objective.
 
-    A trajectory program from the predictor gives `solve_bip` its `blocks`
-    ready made, and its dense rows as `rows`, a function returning (A, b)
-    that runs when A or b is first read.
+    `solve_bip` reads only `blocks`, the tables `predictor.build_bip` takes
+    from a compiled program; the dense rows are for `solve_bip_exhaustive`.
+    `build_bip` gives them as `rows`, a function returning (A, b) that runs
+    when A or b is first read.
     """
 
     def __init__(self, n_v: int, H: int, cost: np.ndarray, A=None, b=None, Q=None, *,
@@ -230,6 +233,7 @@ class BipSolution:
     value: float | None
     status: str          # optimal | infeasible
     nodes: int = 0
+    blocks: list | None = None   # solve_bip: each block's index into its candidates V[t]
 
 
 MAX_BINARY_BITS = 24   # the longest binary vectors any enumeration lists: 2^24 of them
@@ -276,13 +280,13 @@ class BlockTables:
     min_pair: list | None = None
 
 
-def block_tables(V: list, lhs: list, Q=None, b=None) -> BlockTables:
+def block_tables(V: list, lhs: list, Q=None) -> BlockTables:
     """Tables over nonempty candidate lists V[t] and their coupling parts lhs[t].
 
     The grid takes the most trailing blocks whose candidates multiply to at
     most SCAN_CHUNK rows, and at least the last block; SCAN_CHUNK is read
     here, when the tables are built.  `first` allows every control of
-    block 0.
+    block 0, and the coupling bounds b are left for each decision to set.
     """
     H, n_v = len(V), V[0].shape[1]
     sizes = [len(v) for v in V]
@@ -297,7 +301,7 @@ def block_tables(V: list, lhs: list, Q=None, b=None) -> BlockTables:
     min_lhs.reverse()
     first = np.ones(len(V[0]), dtype=bool)
     if Q is None:
-        return BlockTables(V, lhs, b, first, k, grid, glhs, min_lhs)
+        return BlockTables(V, lhs, None, first, k, grid, glhs, min_lhs)
     bt = [slice(t * n_v, (t + 1) * n_v) for t in range(H)]
     qlin = [np.einsum("ai,ij,aj->a", v, Q[s, s], v) for v, s in zip(V, bt)]
     pair = {(t, r): V[t] @ (Q[bt[t], bt[r]] + Q[bt[r], bt[t]].T) @ V[r].T
@@ -305,31 +309,7 @@ def block_tables(V: list, lhs: list, Q=None, b=None) -> BlockTables:
     gpair = sum(pair[k + i, k + j][grid[:, i], grid[:, j]]
                 for i, j in combinations(range(H - k), 2))
     min_pair = [sum(pair[p].min() for p in combinations(range(t, H), 2)) for t in range(H)]
-    return BlockTables(V, lhs, b, first, k, grid, glhs, min_lhs, qlin, pair, gpair, min_pair)
-
-
-def _block_tables(bip: Bip) -> BlockTables | None:
-    """Tables of a program given by its dense rows A u <= b, or None when some
-    block has no control meeting its own rows.
-
-    Block t's candidates are the binary controls, listed SCAN_CHUNK at a
-    time, meeting every row of A inside block t (rows with no nonzero go to
-    block 0); the other rows couple blocks.
-    """
-    H, n_v, A, b = bip.H, bip.n_v, bip.A, bip.b
-    support = (A != 0).reshape(len(A), H, n_v).any(axis=2)
-    coupling = support.sum(axis=1) > 1
-    local = [~coupling & (support.argmax(axis=1) == t) for t in range(H)]
-    blocks = [slice(t * n_v, (t + 1) * n_v) for t in range(H)]
-    V = [[] for _ in blocks]
-    for c in binary_chunks(n_v, SCAN_CHUNK):
-        for t, (r, bt) in enumerate(zip(local, blocks)):
-            V[t].append(c[(c @ A[r, bt].T <= b[r]).all(axis=1)])
-    V = [np.concatenate(v) for v in V]
-    if not all(map(len, V)):
-        return None
-    return block_tables(V, [v @ A[coupling, bt].T for v, bt in zip(V, blocks)], bip.Q,
-                        b[coupling])
+    return BlockTables(V, lhs, None, first, k, grid, glhs, min_lhs, qlin, pair, gpair, min_pair)
 
 
 def _improve(rows: np.ndarray, vals: np.ndarray, best_val: float):
@@ -347,8 +327,8 @@ def _improve(rows: np.ndarray, vals: np.ndarray, best_val: float):
 def solve_bip(bip: Bip) -> BipSolution:
     """Branch and bound over whole slot controls, in lexicographic order.
 
-    The search reads `bip.blocks`, or else builds the tables from the dense
-    rows: rows of A inside block t filter its 2^n_v binary controls to V_t.
+    The search reads only `bip.blocks`, the tables `predictor.build_bip`
+    takes from a compiled program; a `Bip` without them raises `ValueError`.
     Trajectories in V_0 x ... x V_{H-1} are visited in lexicographic order,
     leading blocks depth first and the trailing ones as one grid.  The
     objective is a sum of per-block tables over V_t (cost and Q's diagonal
@@ -360,11 +340,15 @@ def solve_bip(bip: Bip) -> BipSolution:
     (exactly, on integers).  Replacing only on a gain over 1e-9 returns the
     lexicographically smallest optimum, as `solve_bip_exhaustive` does.
     The cost is read from `bip.cost` on every call.  `nodes` counts the
-    prefixes visited plus the trajectories scored.
+    prefixes visited plus the trajectories scored, and `blocks` holds the
+    optimum's candidate index in each V_t.
     """
     H, n_v = bip.H, bip.n_v
-    tab = bip.blocks if bip.blocks is not None else _block_tables(bip)
-    if tab is None or not tab.first.any():
+    tab = bip.blocks
+    if tab is None:
+        raise ValueError("solve_bip reads the block tables that build_bip gives a Bip; this "
+                         "one has only dense rows, which solve_bip_exhaustive reads")
+    if not tab.first.any():
         return BipSolution(None, None, "infeasible", nodes=1)
     V, lhs, b, k, grid, glhs, min_lhs = (tab.V, tab.lhs, tab.b, tab.k, tab.grid, tab.glhs,
                                         tab.min_lhs)
@@ -424,7 +408,7 @@ def solve_bip(bip: Bip) -> BipSolution:
     if best is None:
         return BipSolution(None, None, "infeasible", nodes)
     x = np.concatenate([v[i] for v, i in zip(V, best)])
-    return BipSolution(x, bip.value(x), "optimal", nodes)
+    return BipSolution(x, bip.value(x), "optimal", nodes, best)
 
 
 def solve_bip_exhaustive(bip: Bip) -> BipSolution:

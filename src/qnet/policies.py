@@ -107,23 +107,15 @@ class PolicySpec:
                           objective=raw.get("objective", "linear"))
 
 
-class _Trajectory(tuple):
-    """A solved trajectory, one control per slot, as the memo keeps it.
-
-    `needs`, each block's queue need, is filled by the fixed-trajectory
-    policy when it first starts the trajectory, which is on its memo miss.
-    """
-    needs: list | None = None
-
-
 class PncPolicy:
     """Receding horizon: re-solves every slot, applies only the first block.
 
-    Trajectories are a pure function of (q, s) and are memoized per run.
-    Each is stored once as a tuple of its blocks, so every memo hit returns
-    the same control objects.  A memo miss builds its decision's program
-    from the program compiled for its chain state, on the first miss in
-    that state, and solves it.
+    Trajectories are a pure function of (q, s) and are memoized per (q, s).
+    A memo miss builds its decision's program from the program compiled for
+    its chain state, on the first miss in that state, and solves it.  The
+    trajectory is kept as the program's `controls` at the solved candidate
+    indices, one (control, queue need) pair per block, so every decision
+    is a read-only row of the compiled control set.
     """
 
     def __init__(self, net, chain, arrivals, H: int, objective="linear"):
@@ -145,12 +137,11 @@ class PncPolicy:
                                       self.objective, program=program))
             if sol.status != "optimal":
                 raise RuntimeError(f"trajectory program unexpectedly {sol.status}")
-            traj = _Trajectory(sol.x.reshape(self.H, self.net.n_v).astype(np.int64))
-            self._memo[key] = traj
+            traj = self._memo[key] = tuple(program.controls[i] for i in sol.blocks)
         return traj
 
     def decide(self, q, s) -> np.ndarray:
-        return self._trajectory(q, s)[0]
+        return self._trajectory(q, s)[0][0]
 
 
 class MwPolicy(PncPolicy):
@@ -188,20 +179,22 @@ class FpncPolicy(PncPolicy):
     violating links.
 
     A solved block is 0/1 and meets C v <= c, so it is feasible exactly
-    when q >= its queue need; only a block that fails this goes to
-    `repair_control`.
+    when q >= its queue need, which the trajectory carries; only a block
+    that fails this goes to `repair_control`.  `reset` drops the pending
+    blocks, and `dynamics.run` calls it, so a reused policy starts each run
+    as a fresh one does.
     """
 
     def __init__(self, net, chain, arrivals, H: int, objective="linear"):
         super().__init__(net, chain, arrivals, H, objective)
+        self.reset()
+
+    def reset(self) -> None:
         self._pending: list[tuple[np.ndarray, list]] = []
 
     def decide(self, q, s) -> np.ndarray:
         if not self._pending:
-            traj = self._trajectory(q, s)
-            if traj.needs is None:
-                traj.needs = queue_need(self.net, np.array(traj)).tolist()
-            self._pending = list(zip(traj, traj.needs))
+            self._pending = list(self._trajectory(q, s))
         v, need = self._pending.pop(0)
         if all(x >= n for x, n in zip(q, need)):
             return v

@@ -111,10 +111,12 @@ class TrajectoryProgram:
 
     `tables` lays every block over all of V, the controls with C v <= c,
     and allows all of them in block 0; `need` holds each control's
-    `queue_need`.  The rows coupling blocks are the `_positiveness` rows of
-    steps t >= 1, bounded by q0 + `offsets` (one row per step).  The cost
-    reads `weights`, sigma_t W per step, and `arrived`, the mean arrivals
-    summed up to each step.
+    `queue_need`.  `controls` pairs each row of V, read-only, with its need
+    as a list: a solved trajectory is the controls at the candidate indices
+    `solve_bip` returns.  The rows coupling blocks are the `_positiveness`
+    rows of steps t >= 1, bounded by q0 + `offsets` (one row per step).
+    The cost reads `weights`, sigma_t W per step, and `arrived`, the mean
+    arrivals summed up to each step.
     """
 
     s: int
@@ -122,6 +124,7 @@ class TrajectoryProgram:
     objective: str
     tables: BlockTables
     need: np.ndarray
+    controls: list
     offsets: np.ndarray
     weights: list
     arrived: np.ndarray
@@ -139,10 +142,12 @@ def compile_program(net: Network, chain: MarkovChain, arrivals: ArrivalProcess,
     else:
         means, Q = [arrivals.rate_float()] * H, None
     V = enumerate_control_set(net)
+    V.setflags(write=False)
+    need = queue_need(net, V)
     # lhs[t] = V @ (block t's part of the coupling rows).T
     lhs = list(V @ rows[1:].reshape(-1, H, net.n_v).transpose(1, 2, 0))
-    return TrajectoryProgram(int(s), H, objective, block_tables([V] * H, lhs, Q),
-                             queue_need(net, V), np.array(offsets, dtype=np.int64)[1:],
+    return TrajectoryProgram(int(s), H, objective, block_tables([V] * H, lhs, Q), need,
+                             list(zip(V, need.tolist())), np.array(offsets, dtype=np.int64)[1:],
                              [sigma @ net.W for sigma in sigmas],
                              np.array(means).cumsum(axis=0), Q)
 

@@ -1,19 +1,25 @@
-"""Exact quadratic oracle: E[sum q_t'q_t] by enumerating the outcome tree.
+"""Test-only references: the exact quadratic objective and dense-row search tables.
 
-Test-only reference for the `cost` and `Q` of `qnet.predictor.build_bip`,
-quadratic and linear; small instances only.
+`quadratic_objective_oracle` computes E[sum q_t'q_t] by enumerating the
+outcome tree, a reference for the `cost` and `Q` of
+`qnet.predictor.build_bip`, quadratic and linear; small instances only.
+`solve_dense` solves a hand-built `Bip`, given only its dense rows, by the
+branch and bound, from tables `dense_block_tables` builds from those rows.
 """
 
 from __future__ import annotations
 
+from dataclasses import replace
 from fractions import Fraction
 from itertools import product
 
 import numpy as np
 
+from qnet import optim
 from qnet.errors import EnumerationLimitError
 from qnet.markov import MarkovChain
 from qnet.model import ArrivalProcess, Network
+from qnet.optim import Bip, BipSolution, BlockTables, binary_chunks, block_tables, solve_bip
 
 ORACLE_MAX_VARS = 16
 
@@ -83,3 +89,35 @@ def quadratic_objective_oracle(net: Network, chain: MarkovChain,
         return total
 
     return rec(0, tuple(int(x) for x in np.asarray(q0)), int(s0))
+
+
+def dense_block_tables(bip: Bip) -> BlockTables | None:
+    """Tables of a program given by its dense rows A u <= b, or None when some
+    block has no control meeting its own rows.
+
+    Block t's candidates are the binary controls, listed SCAN_CHUNK at a
+    time, meeting every row of A inside block t (rows with no nonzero go to
+    block 0); the other rows couple blocks.
+    """
+    H, n_v, A, b = bip.H, bip.n_v, bip.A, bip.b
+    support = (A != 0).reshape(len(A), H, n_v).any(axis=2)
+    coupling = support.sum(axis=1) > 1
+    local = [~coupling & (support.argmax(axis=1) == t) for t in range(H)]
+    blocks = [slice(t * n_v, (t + 1) * n_v) for t in range(H)]
+    V = [[] for _ in blocks]
+    for c in binary_chunks(n_v, optim.SCAN_CHUNK):
+        for t, (r, bt) in enumerate(zip(local, blocks)):
+            V[t].append(c[(c @ A[r, bt].T <= b[r]).all(axis=1)])
+    V = [np.concatenate(v) for v in V]
+    if not all(map(len, V)):
+        return None
+    return replace(block_tables(V, [v @ A[coupling, bt].T for v, bt in zip(V, blocks)], bip.Q),
+                   b=b[coupling])
+
+
+def solve_dense(bip: Bip) -> BipSolution:
+    """`solve_bip` on a `Bip` given only dense rows, through `dense_block_tables`."""
+    tables = dense_block_tables(bip)
+    if tables is None:
+        return BipSolution(None, None, "infeasible", nodes=1)
+    return solve_bip(Bip(bip.n_v, bip.H, bip.cost, bip.A, bip.b, bip.Q, blocks=tables))

@@ -2,8 +2,8 @@
 
 A policy compiles the program of a chain state once and builds each decision
 from it; these tests solve the same decisions from `build_constraints` and
-the objective (`build_bip`'s cost and Q) alone, the path a hand-built `Bip`
-takes.
+the objective (`build_bip`'s cost and Q) alone, through the test oracle
+`solve_dense`, which builds search tables from a hand-built `Bip`'s rows.
 """
 
 import numpy as np
@@ -20,6 +20,7 @@ from qnet.predictor import build_bip, build_constraints, compile_program
 from qnet.scenarios import scenario_example1, scenario_example2
 
 from conftest import random_arrivals, random_chain, random_network
+from oracles import solve_dense
 
 
 def dense_bip(net, chain, arrivals, q0, s, H, objective):
@@ -58,12 +59,12 @@ def test_compiled_decisions_match_dense_rows_and_oracle(rng, monkeypatch, chunk,
         for _ in range(3):
             q0 = rng.integers(0, 3, size=net.n_q)
             s = int(rng.integers(n_s))
-            traj = np.concatenate(policy._trajectory(q0, s))
+            traj = np.concatenate([v for v, _ in policy._trajectory(q0, s)])
             program = policy._programs[s]
             compiled = solve_bip(build_bip(net, chain, arr, q0, s, H, objective,
                                            program=program))
             dense = dense_bip(net, chain, arr, q0, s, H, objective)
-            by_rows, oracle = solve_bip(dense), solve_bip_exhaustive(dense)
+            by_rows, oracle = solve_dense(dense), solve_bip_exhaustive(dense)
             assert by_rows.status == oracle.status == "optimal", k
             assert np.array_equal(traj, by_rows.x) and np.array_equal(compiled.x, oracle.x), k
             assert compiled.value == by_rows.value == oracle.value, k
@@ -84,7 +85,7 @@ def test_example2_green_memo_states_replay(spec):
     assert list(policy._programs) == [0] and len(policy._memo) > 100
     for (q, s), traj in policy._memo.items():
         dense = dense_bip(sc.net, sc.chain, sc.arrivals, np.array(q), s, policy.H, "linear")
-        assert np.array_equal(np.concatenate(traj), solve_bip(dense).x), q
+        assert np.array_equal(np.concatenate([v for v, _ in traj]), solve_dense(dense).x), q
 
 
 def test_each_chain_state_compiled_once(monkeypatch):

@@ -102,11 +102,21 @@ def test_run_rejects_malformed_q0():
     # entry does, before any slot runs
     sc = scenario_example2("red")
     for q0 in ([-1, 0], [1.5, 0], [1, 2, 3], [[1, 2]], [float("nan"), 0], [True, False]):
-        with pytest.raises(ValueError, match="initial queue state must be 2 nonnegative integers"):
+        with pytest.raises(ValueError, match=r"^q0(\[0\])?: "):
             run(sc.net, sc.chain, sc.arrivals, IdlePolicy(sc.net), 5, make_streams(0), q0=q0)
     trace = run(sc.net, sc.chain, sc.arrivals, IdlePolicy(sc.net), 5, make_streams(0),
                 q0=np.array([3.0, 0.0]))
     assert trace.q0.dtype == np.int64 and trace.q0.tolist() == [3, 0]
+
+
+def test_run_keeps_its_own_q0():
+    # the trace's q0 is a read-only copy; the caller's int64 array stays writable
+    sc = scenario_example2("red")
+    q0 = np.array([4, 1], dtype=np.int64)
+    trace = run(sc.net, sc.chain, sc.arrivals, IdlePolicy(sc.net), 5, make_streams(0), q0=q0)
+    assert q0.flags.writeable and not trace.q0.flags.writeable
+    q0[0] = 9
+    assert trace.q0.tolist() == [4, 1]
 
 
 def test_run_deterministic_same_seed():

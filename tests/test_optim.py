@@ -12,6 +12,7 @@ from qnet.model import enumerate_control_set
 from qnet.predictor import build_bip, build_constraints
 
 from conftest import random_arrivals, random_chain, random_network
+from oracles import solve_dense
 
 scipy_opt = pytest.importorskip("scipy.optimize")
 
@@ -105,10 +106,19 @@ def test_lp_equalities_match_scipy(rng):
         assert (np.array(split(A_ub), dtype=object) @ x <= b_ub).all()
 
 
+def test_solve_bip_reads_only_block_tables():
+    # a Bip given only dense rows has no tables for the branch and bound
+    bip = Bip(n_v=2, H=1, cost=np.array([-1.0, 0.0]), A=np.array([[1, 1]], dtype=np.int64),
+              b=[1])
+    with pytest.raises(ValueError, match="build_bip"):
+        solve_bip(bip)
+    assert solve_dense(bip).x.tolist() == solve_bip_exhaustive(bip).x.tolist() == [1, 0]
+
+
 def test_bip_idle_optimum():
     bip = Bip(n_v=3, H=1, cost=np.array([0.5, 0.0, 0.25]),
               A=np.array([[1, 1, 1]], dtype=np.int64), b=[2])
-    sol = solve_bip(bip)
+    sol = solve_dense(bip)
     assert sol.status == "optimal" and sol.x.tolist() == [0, 0, 0] and sol.value == 0.0
 
 
@@ -118,20 +128,20 @@ def test_bip_infeasible():
                     A=np.array([[0, 0]], dtype=np.int64), b=[-1]),
                 Bip(n_v=0, H=1, cost=np.zeros(0),
                     A=np.zeros((1, 0), dtype=np.int64), b=[-1])):
-        assert solve_bip(bip).status == "infeasible"
+        assert solve_dense(bip).status == "infeasible"
         assert solve_bip_exhaustive(bip).status == "infeasible"
 
 
 def test_bip_empty():
     bip = Bip(n_v=0, H=1, cost=np.zeros(0), A=np.zeros((0, 0), dtype=np.int64), b=[])
-    for sol in (solve_bip(bip), solve_bip_exhaustive(bip)):
+    for sol in (solve_dense(bip), solve_bip_exhaustive(bip)):
         assert sol.status == "optimal" and sol.value == 0.0 and len(sol.x) == 0
 
 
 def test_bip_matches_exhaustive(rng):
     for _ in range(400):
         bip = _random_bip(rng)
-        s1, s2 = solve_bip(bip), solve_bip_exhaustive(bip)
+        s1, s2 = solve_dense(bip), solve_bip_exhaustive(bip)
         assert s1.status == s2.status
         if s1.status == "optimal":
             assert s1.value == s2.value
@@ -142,14 +152,14 @@ def test_lexicographic_tie_break():
     # both singletons cost the same; the later column wins lexicographically
     bip = Bip(n_v=2, H=1, cost=np.array([-1.0, -1.0]),
               A=np.array([[1, 1]], dtype=np.int64), b=[1])
-    assert solve_bip(bip).x.tolist() == [0, 1]
+    assert solve_dense(bip).x.tolist() == [0, 1]
     assert solve_bip_exhaustive(bip).x.tolist() == [0, 1]
 
 
 def test_relaxation_lower_bounds_binary(rng):
     for _ in range(60):
         bip = _random_bip(rng, n=int(rng.integers(2, 9)))
-        binary = solve_bip(bip)
+        binary = solve_dense(bip)
         if binary.status != "optimal":
             continue
         # min cost.x over 0 <= x <= 1: max -cost.x with the rows x <= 1 appended
@@ -163,7 +173,7 @@ def test_relaxation_lower_bounds_binary(rng):
 def test_bip_deterministic_and_node_capped(rng):
     for _ in range(30):
         bip = _random_bip(rng, n=8)
-        s1, s2 = solve_bip(bip), solve_bip(bip)
+        s1, s2 = solve_dense(bip), solve_dense(bip)
         assert s1.nodes == s2.nodes and s1.status == s2.status
         if s1.status == "optimal":
             assert np.array_equal(s1.x, s2.x)
@@ -180,7 +190,7 @@ def test_fractional_rhs_exact():
     # x1 + x2 <= 3/2 admits exactly one active variable
     bip = Bip(n_v=2, H=1, cost=np.array([-1.0, -0.5]),
               A=np.array([[1, 1]], dtype=np.int64), b=[Fraction(3, 2)])
-    assert solve_bip(bip).x.tolist() == [1, 0]
+    assert solve_dense(bip).x.tolist() == [1, 0]
 
 
 @pytest.mark.parametrize("chunk", [None, 1])
@@ -220,7 +230,7 @@ def test_block_search_generic_coupled_rows(rng, monkeypatch, chunk):
         b = [Fraction(int(x), int(d)) for x, d in zip(rng.integers(-2, 6, size=m),
                                                      rng.integers(1, 4, size=m))]
         bip = Bip(n_v=n_v, H=H, cost=rng.integers(-4, 5, size=n) / 4.0, A=A, b=b)
-        s1, s2 = solve_bip(bip), solve_bip_exhaustive(bip)
+        s1, s2 = solve_dense(bip), solve_bip_exhaustive(bip)
         statuses.add(s1.status)
         assert s1.status == s2.status
         if s1.status == "optimal":
@@ -233,7 +243,7 @@ def test_block_search_coupled_example():
     bip = Bip(n_v=2, H=2, cost=np.array([-1.0, -1.0, -2.0, -1.5]),
               A=np.array([[1, 0, 1, 0], [0, -1, 0, 1], [1, 1, 0, 0]], dtype=np.int64),
               b=[1, 0, 1])
-    sol = solve_bip(bip)
+    sol = solve_dense(bip)
     assert sol.status == "optimal" and sol.x.tolist() == [0, 1, 1, 1] and sol.value == -4.5
     assert np.array_equal(sol.x, solve_bip_exhaustive(bip).x)
 
@@ -242,7 +252,7 @@ def test_block_search_limit():
     # raised before any of the 2^25 controls of the block are listed
     bip = Bip(n_v=25, H=1, cost=np.zeros(25), A=np.zeros((0, 25), dtype=np.int64), b=[])
     with pytest.raises(EnumerationLimitError):
-        solve_bip(bip)
+        solve_dense(bip)
 
 
 @pytest.mark.parametrize("chunk", [None, 1])
@@ -271,7 +281,7 @@ def test_quadratic_scan_matches_enumeration(rng, monkeypatch, chunk):
             if val < best_val - 1e-9:
                 best, best_val = u, val
         bip = Bip(n_v=net.n_v, H=H, cost=cost, A=A, b=b, Q=Q)
-        sol = solve_bip(bip)
+        sol = solve_dense(bip)
         assert sol.status == "optimal"
         assert sol.x.tolist() == best.tolist()
         assert sol.value == best_val

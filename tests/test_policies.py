@@ -172,13 +172,69 @@ def test_fpnc_repairs_only_infeasible_blocks(rng):
         policy = FpncPolicy(net, chain, arr, 2)
         q0 = rng.integers(0, 4, size=net.n_q)
         policy.decide(q0, chain.s0)
-        pending = policy._trajectory(q0, chain.s0)[1]
+        pending = policy._trajectory(q0, chain.s0)[1][0]
         q1 = rng.integers(0, 2, size=net.n_q)
         got = policy.decide(q1, chain.s0)
         assert check_feasible(net, q1, got).ok
         assert np.array_equal(got, repair_control(net, q1, pending))
         repaired += not check_feasible(net, q1, pending).ok
     assert repaired > 10
+
+
+@pytest.mark.parametrize("spec", [PolicySpec("MW"), PolicySpec("PNC", 3), PolicySpec("FPNC", 2),
+                                  PolicySpec("FPNC", 3, objective="quadratic")],
+                         ids=lambda spec: spec.name)
+def test_decisions_are_rows_of_the_compiled_control_set(monkeypatch, spec):
+    # no decision copies a control: each is the very row of a compiled V
+    # (FPNC's later blocks come from the program of an earlier state),
+    # read-only, or else a block FPNC repaired
+    import qnet.policies as policies
+    repaired = []
+
+    def repair(net, q, v):
+        repaired.append(repair_control(net, q, v))
+        return repaired[-1]
+    monkeypatch.setattr(policies, "repair_control", repair)
+    sc = scenario_example1()
+    policy = make_policy(spec, sc.net, sc.chain, sc.arrivals)
+    decisions = []
+    decide = policy.decide
+    policy.decide = lambda q, s: decisions.append(decide(q, s)) or decisions[-1]
+    run(sc.net, sc.chain, sc.arrivals, policy, 200, make_streams(4), q0=[2, 1, 0, 1])
+    compiled = [row for program in policy._programs.values() for row, _ in program.controls]
+    n_rows = 0
+    for v in decisions:
+        if any(v is r for r in repaired):
+            continue
+        assert any(v is row for row in compiled)
+        assert not v.flags.writeable
+        n_rows += 1
+    assert n_rows > 100 and len(policy._programs) > 1
+
+
+def test_fpnc_computes_no_queue_need(monkeypatch):
+    # the compiled program holds every control's queue need, and FPNC reads
+    # its pending blocks' needs from there
+    import qnet.policies as policies
+
+    def no_need(*args):
+        raise AssertionError("FPNC computed a queue need")
+    monkeypatch.setattr(policies, "queue_need", no_need)
+    for sc, H in ((scenario_example1(), 3), (scenario_example2("green"), 2)):
+        policy = FpncPolicy(sc.net, sc.chain, sc.arrivals, H)
+        trace = run(sc.net, sc.chain, sc.arrivals, policy, 300, make_streams(6))
+        assert trace.slots == 300 and len(policy._memo) > 10
+
+
+def test_reused_fpnc_reproduces_a_fresh_one():
+    # a run left FPNC mid-trajectory; the next run starts with no pending blocks
+    sc = scenario_example2("red")
+    used = FpncPolicy(sc.net, sc.chain, sc.arrivals, 3)
+    run(sc.net, sc.chain, sc.arrivals, used, 4, make_streams(0))
+    traces = [run(sc.net, sc.chain, sc.arrivals, policy, 200, make_streams(5), q0=[4, 1])
+              for policy in (used, FpncPolicy(sc.net, sc.chain, sc.arrivals, 3))]
+    assert np.array_equal(traces[0].V, traces[1].V)
+    assert np.array_equal(traces[0].Q, traces[1].Q)
 
 
 def test_policies_always_feasible(rng):
