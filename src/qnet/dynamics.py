@@ -22,7 +22,7 @@ from .markov import MarkovChain, next_states, sample_next
 from .model import ArrivalProcess, Network, _as_array
 
 STREAM_IDS = {"links": 0, "arrivals": 1, "chain": 2, "policy": 3}
-# Entries of `step`'s memo per network.  An entry takes about 2.4 kB with
+# Entries of `step`'s memo per run.  An entry takes about 2.4 kB with
 # eight active links, and a policy that picks among 2^16 controls could
 # otherwise add one per slot; past the limit a new control is checked
 # every slot it is used.
@@ -44,7 +44,7 @@ def make_streams(seed: int, replication: int = 0) -> RngStreams:
     return RngStreams(*(gen(n) for n in ("links", "arrivals", "chain", "policy")))
 
 
-@dataclass
+@dataclass(eq=False)
 class StepRecord:
     """One slot as arrays: a rejected control's diagnostic, or a row of a
     `Trace` read through `trace.records`."""
@@ -110,17 +110,10 @@ def check_feasible(net: Network, q, v) -> Feasibility:
     v = _as_control(v)
     if v.shape != (net.n_v,):
         return Feasibility(False, "binary", None)
-    values = v.tolist()
-    # a set compare suffices for numbers; strings and objects are read one by one
-    if not (v.dtype.kind in "biuf" and {*values} <= {0, 1}):
-        bad = _first_non_binary(values)
-        if bad is not None:
-            return Feasibility(False, "binary", bad)
+    bad = _first_non_binary(v.tolist())
+    if bad is not None:
+        return Feasibility(False, "binary", bad)
     v = np.asarray(v, dtype=np.int64)
-    # Accept in one pass: C v <= c and q >= queue_need.  The masks hold a
-    # few entries, where all() over a list costs far less than ndarray.all().
-    if all((net.C @ v <= net.c).tolist()) and all((q >= queue_need(net, v)).tolist()):
-        return FEASIBLE
     starved = (v != 0) & ((q < 1) @ net.S_req > 0)
     for family, bad in (("constituency", net.C @ v > net.c),
                         ("positiveness", q + net.R_minus @ v < 0),
@@ -147,8 +140,8 @@ def _admit(net: Network, v: np.ndarray) -> _Admitted:
                      net.delivery[links].tolist(), net.W[:, links].tolist())
 
 
-def step(net: Network, t: int, q: tuple, s: int, v, a,
-         links: np.random.Generator) -> tuple[tuple, tuple, list, int]:
+def step(net: Network, t: int, q: tuple, s: int, v, a, links: np.random.Generator,
+         admitted: dict) -> tuple[tuple, tuple, list, int]:
     """Slot t at chain state s:  q' = q + R diag(m) v + a.
 
     q is the queue state before the slot, a tuple of n_q ints, and `a` the
@@ -160,15 +153,15 @@ def step(net: Network, t: int, q: tuple, s: int, v, a,
     raises `PolicyContractError`, with the slot as a `StepRecord`.
 
     An int64 control of shape (n_v,) that `check_feasible` has accepted once
-    enters the network's memo of admitted controls, which is filled as
-    controls are first seen, never by listing the control set, and holds at
-    most MAX_ADMITTED of them; it is accepted again whenever q >= its queue
-    need.  Anything else, a shortfall included, goes to `check_feasible`,
-    which accepts it or names the violation.
+    enters `admitted`, the run's memo of admitted controls, which is filled
+    as controls are first seen and holds at most MAX_ADMITTED of them; it is
+    accepted again whenever q >= its queue need.  Anything else, a shortfall
+    included, goes to `check_feasible`, which accepts it or names the
+    violation.
     """
     key = (v.tobytes() if isinstance(v, np.ndarray) and v.dtype == np.int64
            and v.shape == (net.n_v,) else None)
-    entry = net._admitted.get(key)
+    entry = admitted.get(key)
     if entry is None or len(q) != net.n_q or not all(map(ge, q, entry.need)):
         feas = check_feasible(net, q, v)
         if not feas:
@@ -178,8 +171,8 @@ def step(net: Network, t: int, q: tuple, s: int, v, a,
                                       np.zeros(net.n_v, dtype=np.int64),
                                       np.zeros(net.n_q, dtype=np.int64), np.array(q), 0))
         entry = _admit(net, np.asarray(v, dtype=np.int64))
-        if key is not None and len(net._admitted) < MAX_ADMITTED:
-            net._admitted[key] = entry
+        if key is not None and len(admitted) < MAX_ADMITTED:
+            admitted[key] = entry
     # the slot on Python ints: a few links and queues
     m = [0] * net.n_v
     delivered = 0
@@ -272,8 +265,9 @@ def run(net: Network, chain: MarkovChain, arrivals: ArrivalProcess, policy,
     q_t a tuple of ints, after its `reset()` if it has one.  An infeasible
     policy decision aborts the run with the diagnostic attached.  `q0`, n_q
     nonnegative integers (zeros if None), is checked as the scenario field
-    is, and copied.  Identical inputs, streams seeded alike, reproduce the
-    trace bit for bit.
+    is, and copied.  Each run passes `step` a memo of its own, so runs on one
+    network share nothing.  Identical inputs, streams seeded alike, reproduce
+    the trace bit for bit.
     """
     q0 = (np.zeros(net.n_q, dtype=np.int64) if q0 is None
           else _as_array(q0, "q0", shape=(net.n_q,), lo=0).copy())
@@ -291,8 +285,10 @@ def run(net: Network, chain: MarkovChain, arrivals: ArrivalProcess, policy,
     lo = -net.n_v
     hi = (net.n_v + net.a_hat).tolist()
     q = tuple(q0.tolist())
+    admitted = {}
     for t, s, a in zip(range(slots), path, arrived):
-        q_after, v, m, delivered = step(net, t, q, s, policy.decide(q, s), a, streams.links)
+        q_after, v, m, delivered = step(net, t, q, s, policy.decide(q, s), a, streams.links,
+                                        admitted)
         if not all(after >= 0 and lo <= after - before <= h
                    for after, before, h in zip(q_after, q, hi)):
             raise AssertionError(f"state-evolution invariant violated at t={t}")

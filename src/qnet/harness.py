@@ -30,7 +30,7 @@ class RunResult:
     error: str | None = None
 
 
-@dataclass
+@dataclass(eq=False)
 class ExperimentResult:
     scenario: Scenario
     runs: list[RunResult] = field(default_factory=list)

@@ -15,7 +15,7 @@ STATIONARY_TOL = 1e-12
 STATIONARY_MAX_ITER = 10**6
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MarkovChain:
     n_s: int
     P: np.ndarray            # row-stochastic n_s x n_s

@@ -2,8 +2,8 @@
 
 The network evolves as  q' = q + R M v + a  where R holds one link per
 column, M is a diagonal 0/1 success matrix drawn per slot, v is the binary
-control and a the arrival vector.  This module owns the static description
-and its validation; the stochastic evolution lives in `dynamics`.
+control and a the arrival vector.  This module owns the static description,
+which holds no run state, and its validation; `dynamics` evolves it.
 """
 
 from __future__ import annotations
@@ -19,9 +19,9 @@ from .errors import ValidationError
 from .optim import binary_chunks
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Network:
-    """Validated static model. Immutable; safe to share between runs."""
+    """Validated static model, holding no run state; compared by identity."""
 
     n_q: int
     n_v: int
@@ -43,10 +43,6 @@ class Network:
             arr = getattr(self, name)
             if arr is not None:
                 arr.setflags(write=False)
-        # `dynamics.step`'s memo of the controls it has admitted, keyed by
-        # their bytes.  A cache, not a field: equality, `to_json` and
-        # `dataclasses.replace` ignore it, and a replaced network starts empty.
-        object.__setattr__(self, "_admitted", {})
 
     def to_json(self) -> dict:
         """Normalized description, re-validatable by `validate_network`."""
@@ -175,27 +171,24 @@ def count_controls(net: Network) -> int:
 # Arrival processes
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ArrivalProcess:
-    """Exogenous packet arrivals.
+    """Exogenous packet arrivals: in slot t queue i independently receives
+    table[t % period][i] packets with probability p[i].
 
-    kinds:
-      constant            -- value[i] packets at queue i every slot
-      deterministic-periodic -- pattern[t % len] packets in slot t
-      iid-bernoulli-batch -- queue i independently receives batch[i] packets
-                             with probability p[i] each slot
-    Mean rates are kept as exact fractions so region-membership tests stay
-    exact at desk scale.
+    `table` is one row for constant and iid-bernoulli-batch arrivals, the
+    pattern for deterministic-periodic ones, and p is 1 but for
+    iid-bernoulli-batch, the one kind that draws uniforms.  `kind` picks the
+    JSON form.  Mean rates are kept as exact fractions so region-membership
+    tests stay exact at desk scale.
     """
 
     kind: str
     n_q: int
-    value: np.ndarray | None = None          # constant
-    pattern: np.ndarray | None = None        # deterministic-periodic, shape (period, n_q)
-    p: tuple[Fraction, ...] | None = None    # iid-bernoulli-batch
-    batch: np.ndarray | None = None
-    rate: tuple[Fraction, ...] = ()          # mean arrivals per slot, exact
-    a_hat: np.ndarray = None                 # elementwise sample bound
+    table: np.ndarray                        # batch sizes, (period, n_q)
+    p: tuple[Fraction, ...]                  # per-queue arrival probability
+    rate: tuple[Fraction, ...]               # mean arrivals per slot, exact
+    a_hat: np.ndarray                        # elementwise sample bound
 
     def sample_slots(self, t: int, slots: int, rng) -> np.ndarray:
         """Arrivals of slots t .. t + slots - 1, one row per slot.
@@ -205,12 +198,10 @@ class ArrivalProcess:
         and one call for many slots equals one call per slot.  The other
         kinds draw nothing.
         """
-        if self.kind == "constant":
-            return np.tile(self.value, (slots, 1))
-        if self.kind == "deterministic-periodic":
-            return self.pattern[np.arange(t, t + slots) % len(self.pattern)]
-        u = rng.random((slots, self.n_q))
-        return (u < [float(pi) for pi in self.p]) * self.batch
+        rows = self.table[np.arange(t, t + slots) % len(self.table)]
+        if self.kind == "iid-bernoulli-batch":
+            return (rng.random((slots, self.n_q)) < [float(pi) for pi in self.p]) * rows
+        return rows
 
     def sample(self, t: int, rng) -> np.ndarray:
         """Arrivals of slot t."""
@@ -220,17 +211,13 @@ class ArrivalProcess:
         return np.array([float(r) for r in self.rate])
 
     def mean(self, t: int) -> np.ndarray:
-        """Expected arrivals in slot t: the mean rate, or pattern row t % period."""
-        if self.kind == "deterministic-periodic":
-            return self.pattern[t % len(self.pattern)].astype(np.float64)
-        return self.rate_float()
+        """Expected arrivals in slot t: p times table row t % period."""
+        row = self.table[t % len(self.table)].tolist()
+        return np.array([float(pi * x) for pi, x in zip(self.p, row)])
 
     def support(self, t: int) -> list[tuple[np.ndarray, Fraction]]:
         """Finite per-slot outcome distribution, for exact expectations."""
-        if self.kind == "constant":
-            return [(self.value.copy(), Fraction(1))]
-        if self.kind == "deterministic-periodic":
-            return [(self.pattern[t % len(self.pattern)].copy(), Fraction(1))]
+        row = self.table[t % len(self.table)]
         outcomes = [(np.zeros(self.n_q, dtype=np.int64), Fraction(1))]
         for i in range(self.n_q):
             p = self.p[i]
@@ -240,7 +227,7 @@ class ArrivalProcess:
                     new.append((vec, prob * (1 - p)))
                 if p > 0:
                     hit = vec.copy()
-                    hit[i] += self.batch[i]
+                    hit[i] += row[i]
                     new.append((hit, prob * p))
             outcomes = new
         return outcomes
@@ -270,18 +257,14 @@ def validate_arrivals(raw: dict, n_q: int) -> ArrivalProcess:
     if not isinstance(raw, dict):
         raise ValidationError("arrivals", f"expected an object, got {raw!r}")
     kind = raw.get("kind")
+    p = (Fraction(1),) * n_q
     if kind == "constant":
-        value = _as_array(raw.get("value"), "arrivals.value", shape=(n_q,), lo=0)
-        rate = tuple(Fraction(int(x)) for x in value)
-        return ArrivalProcess(kind=kind, n_q=n_q, value=value, rate=rate, a_hat=value.copy())
-    if kind == "deterministic-periodic":
-        pattern = _as_array(raw.get("pattern"), "arrivals.pattern", shape=(None, n_q), lo=0)
-        if len(pattern) == 0:
+        table = _as_array(raw.get("value"), "arrivals.value", shape=(n_q,), lo=0)[None, :]
+    elif kind == "deterministic-periodic":
+        table = _as_array(raw.get("pattern"), "arrivals.pattern", shape=(None, n_q), lo=0)
+        if len(table) == 0:
             raise ValidationError("arrivals.pattern", "expected at least one slot of arrivals")
-        rate = tuple(Fraction(int(s), len(pattern)) for s in pattern.sum(axis=0))
-        return ArrivalProcess(kind=kind, n_q=n_q, pattern=pattern, rate=rate,
-                              a_hat=pattern.max(axis=0))
-    if kind == "iid-bernoulli-batch":
+    elif kind == "iid-bernoulli-batch":
         p_raw = raw.get("p")
         if not isinstance(p_raw, (list, tuple)) or len(p_raw) != n_q:
             raise ValidationError("arrivals.p", f"expected {n_q} probabilities")
@@ -289,8 +272,10 @@ def validate_arrivals(raw: dict, n_q: int) -> ArrivalProcess:
         for i, pi in enumerate(p):
             if not 0 <= pi <= 1:
                 raise ValidationError(f"arrivals.p[{i}]", f"probability {pi} outside [0, 1]")
-        batch = _as_array(raw.get("batch", np.ones(n_q)), "arrivals.batch", shape=(n_q,), lo=0)
-        rate = tuple(p[i] * int(batch[i]) for i in range(n_q))
-        a_hat = np.where([pi > 0 for pi in p], batch, 0).astype(np.int64)
-        return ArrivalProcess(kind=kind, n_q=n_q, p=p, batch=batch, rate=rate, a_hat=a_hat)
-    raise ValidationError("arrivals.kind", f"unknown arrival kind {kind!r}")
+        table = _as_array(raw.get("batch", np.ones(n_q)), "arrivals.batch", shape=(n_q,),
+                          lo=0)[None, :]
+    else:
+        raise ValidationError("arrivals.kind", f"unknown arrival kind {kind!r}")
+    rate = tuple(pi * Fraction(x, len(table)) for pi, x in zip(p, table.sum(axis=0).tolist()))
+    a_hat = np.where([pi > 0 for pi in p], table.max(axis=0), 0).astype(np.int64)
+    return ArrivalProcess(kind=kind, n_q=n_q, table=table, p=p, rate=rate, a_hat=a_hat)

@@ -227,7 +227,7 @@ class Bip:
         return float(np.dot(self.cost, x) + quad)
 
 
-@dataclass
+@dataclass(eq=False)
 class BipSolution:
     x: np.ndarray | None
     value: float | None
@@ -250,7 +250,7 @@ def binary_chunks(n: int, size: int):
         yield (np.arange(start, min(start + size, 1 << n))[:, None] >> shifts & 1).astype(np.int8)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BlockTables:
     """The constraints and quadratic term of a trajectory program, as the
     block search reads them.

@@ -236,5 +236,7 @@ def make_policy(spec: PolicySpec, net, chain, arrivals, policy_rng=None):
     if spec.kind == "IDLE":
         return IdlePolicy(net)
     if spec.kind == "RANDOM":
+        if policy_rng is None:
+            raise ValueError("a RANDOM policy needs policy_rng, its random stream")
         return RandomPolicy(net, policy_rng)
     raise ValidationError("policy.kind", f"unknown policy kind {spec.kind!r}")

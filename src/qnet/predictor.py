@@ -104,7 +104,7 @@ def build_constraints(net: Network, q0, rate: tuple, H: int):
     return A, b
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TrajectoryProgram:
     """The part of the horizon-H program at chain state s that no decision
     state changes.

@@ -14,7 +14,7 @@ from .model import ArrivalProcess, Network, _as_array, validate_arrivals, valida
 from .policies import PolicySpec
 
 
-@dataclass
+@dataclass(eq=False)
 class Scenario:
     name: str
     net: Network
@@ -50,10 +50,10 @@ class Scenario:
 
 def _arrivals_to_json(ap: ArrivalProcess) -> dict:
     if ap.kind == "constant":
-        return {"kind": ap.kind, "value": ap.value.tolist()}
+        return {"kind": ap.kind, "value": ap.table[0].tolist()}
     if ap.kind == "deterministic-periodic":
-        return {"kind": ap.kind, "pattern": ap.pattern.tolist()}
-    return {"kind": ap.kind, "p": [str(x) for x in ap.p], "batch": ap.batch.tolist()}
+        return {"kind": ap.kind, "pattern": ap.table.tolist()}
+    return {"kind": ap.kind, "p": [str(x) for x in ap.p], "batch": ap.table[0].tolist()}
 
 
 # (key, least value, what is expected); seeds feed np.random.SeedSequence,

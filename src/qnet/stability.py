@@ -34,7 +34,7 @@ EPS_THRESHOLD = Fraction(1, 10**9)
 BRACKET_WIDTH = Fraction(1, 10**6)
 
 
-@dataclass
+@dataclass(eq=False)
 class RegionQuery:
     net: Network
     a_bar: tuple                       # exact per-queue mean rates

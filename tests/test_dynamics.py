@@ -9,6 +9,7 @@ import weakref
 import numpy as np
 import pytest
 
+from qnet import dynamics
 from qnet.dynamics import (MAX_ADMITTED, Trace, check_feasible, make_streams, run, step,
                            trace_csv_header, trace_to_csv)
 from qnet.errors import PolicyContractError
@@ -53,7 +54,7 @@ def test_step_certain_success():
     arr = validate_arrivals({"kind": "constant", "value": [0, 0]}, 2)
     streams = make_streams(0)
     q_after, _, _, delivered = step(RELAY, 0, (1, 1), 0, [1, 1],
-                                    arr.sample(0, streams.arrivals).tolist(), streams.links)
+                                    arr.sample(0, streams.arrivals).tolist(), streams.links, {})
     assert q_after == (0, 1)
     assert delivered == 1
 
@@ -62,7 +63,7 @@ def test_step_idle_keeps_queues():
     arr = validate_arrivals({"kind": "constant", "value": [1, 0]}, 2)
     streams = make_streams(0)
     q_after, _, m, _ = step(RELAY, 0, (3, 2), 0, [0, 0], arr.sample(0, streams.arrivals).tolist(),
-                            streams.links)
+                            streams.links, {})
     assert q_after == (4, 2)
     assert m == [0, 0]
 
@@ -70,7 +71,8 @@ def test_step_idle_keeps_queues():
 def test_step_rejects_infeasible():
     arr = zero_arrivals(2)
     with pytest.raises(PolicyContractError):
-        step(RELAY, 0, (0, 0), 0, [1, 0], arr.sample(0, None).tolist(), make_streams(0).links)
+        step(RELAY, 0, (0, 0), 0, [1, 0], arr.sample(0, None).tolist(), make_streams(0).links,
+             {})
 
 
 def test_step_record_identity(rng):
@@ -84,7 +86,7 @@ def test_step_record_identity(rng):
         v = vs[rng.integers(len(vs))]
         a = arr.sample(0, None)
         q_after, v, m = map(np.array, step(net, 0, tuple(q.tolist()), 0, v, a.tolist(),
-                                           make_streams(int(rng.integers(1000))).links)[:3])
+                                           make_streams(int(rng.integers(1000))).links, {})[:3])
         assert np.array_equal(q_after - q, net.R @ (m * v) + a)
         assert (m[v == 0] == 0).all()
 
@@ -362,12 +364,12 @@ def _scalar_run(net, chain, arrivals, policy, slots, streams):
             elif w > 0.0:
                 m[j] = 1 if streams.links.random() < w else 0
         if arrivals.kind == "constant":
-            a = arrivals.value.copy()
+            a = arrivals.table[0].copy()
         elif arrivals.kind == "deterministic-periodic":
-            a = arrivals.pattern[t % len(arrivals.pattern)].copy()
+            a = arrivals.table[t % len(arrivals.table)].copy()
         else:
             u = streams.arrivals.random(net.n_q)
-            a = (u < [float(p) for p in arrivals.p]).astype(np.int64) * arrivals.batch
+            a = (u < [float(p) for p in arrivals.p]).astype(np.int64) * arrivals.table[0]
         q_after = q + net.R @ (m * v) + a
         s_next = int(np.searchsorted(np.cumsum(chain.P[s]), streams.chain.random(),
                                      side="right").clip(max=chain.n_s - 1))
@@ -436,11 +438,12 @@ def _malformed(v):
             [None] + v[1:].tolist(), [[1]] + v[1:].tolist()]
 
 
-def _step_verdict(net, q, s, v, a, seed):
-    """step's verdict at (q, s) as check_feasible reports one, with what
-    step returned, or the diagnostic record."""
+def _step_verdict(net, q, s, v, a, seed, admitted):
+    """step's verdict at (q, s), given the memo `admitted`, as check_feasible
+    reports one, with what step returned, or the diagnostic record."""
     try:
-        out = step(net, 0, tuple(q.tolist()), s, v, a.tolist(), make_streams(seed).links)
+        out = step(net, 0, tuple(q.tolist()), s, v, a.tolist(), make_streams(seed).links,
+                   admitted)
     except PolicyContractError as err:
         family, index = str(err).split(": ")[1].split(" violation at index ")
         return (False, family, None if index == "None" else int(index)), err.diagnostic
@@ -448,8 +451,8 @@ def _step_verdict(net, q, s, v, a, seed):
 
 
 def test_step_memo_answers_like_check_feasible(rng):
-    # each control steps on a fresh network (a memo miss) and on one whose
-    # memo admitted every control with C v <= c (a hit wherever q allows it)
+    # each control steps with an empty memo (a miss) and with one that
+    # admitted every control with C v <= c (a hit wherever q allows it)
     families = set()
     for _ in range(25):
         net = random_network(rng, n_s=int(rng.integers(1, 4)), allow_copy=True)
@@ -457,12 +460,12 @@ def test_step_memo_answers_like_check_feasible(rng):
         raw["S_req"] = (rng.random((net.n_q, net.n_v)) < 0.3).astype(int).tolist()
         net = validate_network(raw)
         controls = [v for chunk in binary_chunks(net.n_v, 64) for v in chunk.astype(np.int64)]
-        warm = dataclasses.replace(net)
+        warm = {}
         full = (net.n_v,) * net.n_q
         for v in controls:
             if check_feasible(net, full, v):
-                step(warm, 0, full, 0, v, [0] * net.n_q, make_streams(0).links)
-        assert 0 < len(warm._admitted) == count_controls(net) and not net._admitted
+                step(net, 0, full, 0, v, [0] * net.n_q, make_streams(0).links, warm)
+        assert 0 < len(warm) == count_controls(net)
         for _ in range(4):
             q = rng.integers(0, 3, size=net.n_q)
             s = int(rng.integers(net.n_s))
@@ -471,8 +474,8 @@ def test_step_memo_answers_like_check_feasible(rng):
             for v in controls + _malformed(controls[int(rng.integers(1, len(controls)))]):
                 res = check_feasible(net, q, v)
                 families.add(res.family)
-                for target in (dataclasses.replace(net), warm):
-                    verdict, out = _step_verdict(target, q, s, v, a, seed)
+                for memo in ({}, warm):
+                    verdict, out = _step_verdict(net, q, s, v, a, seed, memo)
                     assert verdict == (res.ok, res.family, res.index), (v, q)
                     if not res.ok:
                         continue
@@ -495,23 +498,64 @@ def test_step_memo_is_a_cache():
     # 24-link network without C rows has 2^24 controls
     net = validate_network({"R": (-np.eye(24, dtype=int)).tolist(), "W": [[0.5] * 24]})
     q = (1,) * 24
+    admitted = {}
     start = time.perf_counter()
     for v in np.eye(24, dtype=np.int64):
-        step(net, 0, q, 0, v, [0] * 24, make_streams(0).links)
-    assert time.perf_counter() - start < 1.0 and len(net._admitted) == 24
-    # and it stops growing at MAX_ADMITTED controls
-    for v in next(binary_chunks(24, MAX_ADMITTED + 8)).astype(np.int64):
-        step(net, 0, q, 0, v, [0] * 24, make_streams(0).links)
-    assert len(net._admitted) == MAX_ADMITTED
-    # not a field: equality, to_json and replace ignore it
-    fresh = dataclasses.replace(net)
-    assert "_admitted" not in {f.name for f in dataclasses.fields(Network)}
-    assert fresh._admitted == {} and fresh.to_json() == net.to_json()
-    # a RANDOM run admits at most the controls with C v <= c
+        step(net, 0, q, 0, v, [0] * 24, make_streams(0).links, admitted)
+    assert time.perf_counter() - start < 1.0 and len(admitted) == 24
+
+
+class _Cycle:
+    """Returns the given controls in turn, round after round."""
+
+    def __init__(self, controls):
+        self._next = itertools.cycle(controls).__next__
+
+    def decide(self, q, s):
+        return self._next()
+
+
+def _counted_runs(monkeypatch, runs):
+    """check_feasible calls made by each of `runs`, zero-argument callables."""
+    calls = []
+    checked = dynamics.check_feasible
+    monkeypatch.setattr(dynamics, "check_feasible",
+                        lambda *args: calls.append(None) or checked(*args))
+    counts = []
+    for one in runs:
+        del calls[:]
+        one()
+        counts.append(len(calls))
+    return counts
+
+
+def test_run_admits_each_control_once_per_run(monkeypatch):
+    # RANDOM picks only controls q allows, so every control's first use is
+    # its only check; a second run on the same network checks them all again
     sc = scenario_example2("blue")
-    run(sc.net, sc.chain, sc.arrivals, RandomPolicy(sc.net, make_streams(4).policy), 500,
-        make_streams(4))
-    assert 0 < len(sc.net._admitted) <= count_controls(sc.net)
+    traces = []
+
+    def one():
+        traces.append(run(sc.net, sc.chain, sc.arrivals,
+                          RandomPolicy(sc.net, make_streams(4).policy), 500, make_streams(4)))
+    counts = _counted_runs(monkeypatch, [one, one])
+    distinct = {tuple(v) for v in traces[0].V.tolist()}
+    assert 1 < len(distinct) <= count_controls(sc.net)
+    assert counts == [len(distinct)] * 2
+    assert not hasattr(sc.net, "_admitted")
+    assert "_admitted" not in {f.name for f in dataclasses.fields(Network)}
+
+
+def test_run_memo_holds_at_most_max_admitted(monkeypatch):
+    # two rounds over MAX_ADMITTED + 8 distinct controls: the first round
+    # checks each one, the second only the 8 the full memo left out.  No link
+    # ever succeeds, so q stays at ones and allows every control.
+    net = validate_network({"R": (-np.eye(24, dtype=int)).tolist(), "W": [[0.0] * 24]})
+    controls = list(next(binary_chunks(24, MAX_ADMITTED + 8)).astype(np.int64))
+    counts = _counted_runs(monkeypatch, [
+        lambda: run(net, ONE_STATE, zero_arrivals(24), _Cycle(controls), 2 * len(controls),
+                    make_streams(0), q0=[1] * 24)])
+    assert counts == [MAX_ADMITTED + 16]
 
 
 def test_queue_state_of_wrong_length_raises():
@@ -523,8 +567,9 @@ def test_queue_state_of_wrong_length_raises():
         with pytest.raises(ValueError, match=r"queue state must have shape \(2,\)"):
             check_feasible(sc.net, q, v)
     # nor does a memo hit accept one
-    step(sc.net, 0, (3, 3), 0, v, [0, 0], make_streams(0).links)
-    assert sc.net._admitted
+    admitted = {}
+    step(sc.net, 0, (3, 3), 0, v, [0, 0], make_streams(0).links, admitted)
+    assert admitted
     for q in shapes:
         with pytest.raises(ValueError, match=r"queue state must have shape \(2,\)"):
-            step(sc.net, 0, tuple(q), 0, v, [0, 0], make_streams(0).links)
+            step(sc.net, 0, tuple(q), 0, v, [0, 0], make_streams(0).links, admitted)

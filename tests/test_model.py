@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from qnet.errors import EnumerationLimitError, ValidationError
 from qnet.model import enumerate_control_set, validate_arrivals, validate_network
+from qnet.scenarios import _arrivals_to_json
 
 RELAY = {"R": [[-1, 0], [1, -1]], "C": [[0, 0]], "c": [1], "W": [[1.0, 1.0]]}
 
@@ -167,6 +168,59 @@ def test_bernoulli_batch_arrivals():
     assert sum(p for _, p in support) == 1
     mean = sum(np.asarray(v) * float(p) for v, p in support)
     assert np.allclose(mean, [0.45, 0.5])
+
+
+# One case per kind over three queues: the periodic pattern has three rows,
+# and the Bernoulli queues have p = 1/3, 0 and 1.  Each expected value is a
+# literal, computed with the per-kind fields the arrival table replaced.
+ARRIVAL_TABLE_CASES = [
+    ({"kind": "constant", "value": [2, 0, 1]},
+     {"sample": [[2, 0, 1]] * 4,
+      "mean": [[2.0, 0.0, 1.0]] * 4,
+      "support": [([2, 0, 1], Fraction(1))],
+      "rate": (Fraction(2), Fraction(0), Fraction(1)), "a_hat": [2, 0, 1]}),
+    ({"kind": "deterministic-periodic", "pattern": [[1, 0, 2], [0, 0, 1], [3, 0, 0]]},
+     {"sample": [[3, 0, 0], [1, 0, 2], [0, 0, 1], [3, 0, 0]],
+      "mean": [[1.0, 0.0, 2.0], [0.0, 0.0, 1.0], [3.0, 0.0, 0.0], [1.0, 0.0, 2.0]],
+      "support": [([0, 0, 1], Fraction(1))],
+      "rate": (Fraction(4, 3), Fraction(0), Fraction(1)), "a_hat": [3, 0, 2]}),
+    ({"kind": "iid-bernoulli-batch", "p": ["1/3", "0", "1"], "batch": [2, 5, 1]},
+     {"sample": [[0, 0, 1], [2, 0, 1], [0, 0, 1], [0, 0, 1]],
+      "mean": [[2 / 3, 0.0, 1.0]] * 4,
+      "support": [([0, 0, 1], Fraction(2, 3)), ([2, 0, 1], Fraction(1, 3))],
+      "rate": (Fraction(2, 3), Fraction(0), Fraction(1)), "a_hat": [2, 0, 1]}),
+]
+
+
+@pytest.mark.parametrize("raw, want", ARRIVAL_TABLE_CASES,
+                         ids=[raw["kind"] for raw, _ in ARRIVAL_TABLE_CASES])
+def test_arrival_table_matches_per_kind_values(raw, want):
+    ap = validate_arrivals(raw, 3)
+    # slots 2..5, drawing from one seeded stream
+    assert ap.sample_slots(2, 4, np.random.default_rng(5)).tolist() == want["sample"]
+    assert [ap.mean(t).tolist() for t in range(4)] == want["mean"]
+    assert [(v.tolist(), p) for v, p in ap.support(1)] == want["support"]
+    assert ap.rate == want["rate"] and ap.a_hat.tolist() == want["a_hat"]
+    assert _arrivals_to_json(ap) == raw
+    again = validate_arrivals(_arrivals_to_json(ap), 3)
+    assert again.table.tolist() == ap.table.tolist() and again.p == ap.p
+
+
+@given(st.sampled_from(["constant", "deterministic-periodic", "iid-bernoulli-batch"]),
+       st.integers(1, 3), st.integers(1, 3), st.integers(0, 10**6), st.integers(0, 7))
+@settings(deadline=None, max_examples=60, derandomize=True)
+def test_arrival_mean_is_the_support_expectation(kind, n_q, period, seed, t):
+    rng = np.random.default_rng(seed)
+    table = rng.integers(0, 4, size=(period, n_q)).tolist()
+    raw = {"constant": {"kind": kind, "value": table[0]},
+           "deterministic-periodic": {"kind": kind, "pattern": table},
+           "iid-bernoulli-batch": {"kind": kind, "batch": table[0],
+                                   "p": [f"{int(k)}/4" for k in rng.integers(0, 5, n_q)]}}[kind]
+    ap = validate_arrivals(raw, n_q)
+    support = ap.support(t)
+    assert sum(p for _, p in support) == 1
+    exact = [sum(p * int(v[i]) for v, p in support) for i in range(n_q)]
+    assert ap.mean(t).tolist() == [float(x) for x in exact]
 
 
 def test_bernoulli_bad_probability():

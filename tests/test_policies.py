@@ -354,3 +354,13 @@ def test_random_policy_mask_matches_check_feasible(rng):
             policy.rng = np.random.default_rng(seed)
             got = policy.decide(q, 0)
             assert got.dtype == np.int64 and got.tolist() == expect.tolist()
+
+
+def test_random_policy_needs_its_stream():
+    # rejected when made, not at its first decision
+    sc = scenario_example2("red")
+    with pytest.raises(ValueError, match="policy_rng"):
+        make_policy(PolicySpec("RANDOM"), sc.net, sc.chain, sc.arrivals)
+    policy = make_policy(PolicySpec("RANDOM"), sc.net, sc.chain, sc.arrivals,
+                         policy_rng=make_streams(0).policy)
+    assert policy.decide((0, 0), 0).tolist() == [0, 0, 0]

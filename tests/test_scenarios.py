@@ -9,10 +9,16 @@ import numpy as np
 import pytest
 from fractions import Fraction
 
+from qnet.dynamics import make_streams, run
 from qnet.errors import ValidationError
+from qnet.harness import ExperimentResult
 from qnet.model import enumerate_control_set
+from qnet.optim import solve_bip
+from qnet.policies import IdlePolicy, PolicySpec
+from qnet.predictor import build_bip, compile_program
 from qnet.scenarios import (BUILTIN_BUILDERS, EXAMPLE2_POINTS, builtin_scenario,
                             scenario_example1, scenario_example2, validate_scenario)
+from qnet.stability import RegionQuery
 
 
 def test_example1_shape():
@@ -24,6 +30,29 @@ def test_example1_shape():
     total = sum(int(sc.arrivals.sample(t, None).sum()) for t in range(9))
     assert total == 5
     assert sc.arrivals.rate == (Fraction(1, 2), Fraction(0), Fraction(0), Fraction(0))
+
+
+def _array_holders():
+    """One of each dataclass that holds an ndarray, built from the built-ins."""
+    sc = scenario_example2("red")
+    program = compile_program(sc.net, sc.chain, sc.arrivals, 0, 2)
+    bip = build_bip(sc.net, sc.chain, sc.arrivals, (1, 1), 0, 2, program=program)
+    trace = run(sc.net, sc.chain, sc.arrivals, IdlePolicy(sc.net), 2, make_streams(0))
+    return [sc.net, sc.arrivals, sc, scenario_example1().chain, ExperimentResult(sc),
+            RegionQuery(sc.net, sc.arrivals.rate, options=enumerate_control_set(sc.net)),
+            trace.records[0], solve_bip(bip), program.tables, program]
+
+
+def test_model_objects_compare_and_hash_by_identity():
+    ones, others = _array_holders(), _array_holders()
+    for x, y in zip(ones, others):
+        name = type(x).__name__
+        assert x == x and not x != x and hash(x) == hash(x), name
+        assert x != y and not x == y, name
+    assert len(set(ones + others)) == 2 * len(ones)
+    # values compare through to_json; a PolicySpec compares by value
+    assert ones[2].to_json() == others[2].to_json()
+    assert PolicySpec("PNC", 2) == PolicySpec("PNC", 2)
 
 
 def test_example1_schedule():
