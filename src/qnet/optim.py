@@ -255,10 +255,10 @@ class BlockTables:
     """The constraints and quadratic term of a trajectory program, as the
     block search reads them.
 
-    V[t] holds block t's candidate controls in lexicographic order; `first`
-    masks those allowed in block 0.  lhs[t] is each candidate's part of the
-    rows coupling blocks, whose bounds are b: a trajectory is feasible iff
-    sum_t lhs[t] <= b.  Blocks k .. H-1 form one
+    V[t] holds block t's candidate controls in lexicographic order.  lhs[t]
+    is each candidate's part of the rows coupling blocks, whose bounds are
+    b: a trajectory is feasible iff sum_t lhs[t] <= b.  A row may read one
+    block only, as the rows gating block 0 do.  Blocks k .. H-1 form one
     lexicographic grid of candidate indices, with summed lhs `glhs`, and
     min_lhs[t] is the least lhs of blocks t .. H-1.  With a quadratic term,
     qlin[t] is each candidate's u'Qu inside block t, pair[t, r] the cross
@@ -269,7 +269,6 @@ class BlockTables:
     V: list
     lhs: list
     b: np.ndarray | None
-    first: np.ndarray
     k: int
     grid: np.ndarray
     glhs: np.ndarray
@@ -285,8 +284,8 @@ def block_tables(V: list, lhs: list, Q=None) -> BlockTables:
 
     The grid takes the most trailing blocks whose candidates multiply to at
     most SCAN_CHUNK rows, and at least the last block; SCAN_CHUNK is read
-    here, when the tables are built.  `first` allows every control of
-    block 0, and the coupling bounds b are left for each decision to set.
+    here, when the tables are built.  The coupling bounds b are left for
+    each decision to set.
     """
     H, n_v = len(V), V[0].shape[1]
     sizes = [len(v) for v in V]
@@ -299,9 +298,8 @@ def block_tables(V: list, lhs: list, Q=None) -> BlockTables:
     for x in reversed(lhs):
         min_lhs.append(min_lhs[-1] + x.min(axis=0))
     min_lhs.reverse()
-    first = np.ones(len(V[0]), dtype=bool)
     if Q is None:
-        return BlockTables(V, lhs, None, first, k, grid, glhs, min_lhs)
+        return BlockTables(V, lhs, None, k, grid, glhs, min_lhs)
     bt = [slice(t * n_v, (t + 1) * n_v) for t in range(H)]
     qlin = [np.einsum("ai,ij,aj->a", v, Q[s, s], v) for v, s in zip(V, bt)]
     pair = {(t, r): V[t] @ (Q[bt[t], bt[r]] + Q[bt[r], bt[t]].T) @ V[r].T
@@ -309,7 +307,7 @@ def block_tables(V: list, lhs: list, Q=None) -> BlockTables:
     gpair = sum(pair[k + i, k + j][grid[:, i], grid[:, j]]
                 for i, j in combinations(range(H - k), 2))
     min_pair = [sum(pair[p].min() for p in combinations(range(t, H), 2)) for t in range(H)]
-    return BlockTables(V, lhs, None, first, k, grid, glhs, min_lhs, qlin, pair, gpair, min_pair)
+    return BlockTables(V, lhs, None, k, grid, glhs, min_lhs, qlin, pair, gpair, min_pair)
 
 
 def _improve(rows: np.ndarray, vals: np.ndarray, best_val: float):
@@ -340,23 +338,17 @@ def solve_bip(bip: Bip) -> BipSolution:
     (exactly, on integers).  Replacing only on a gain over 1e-9 returns the
     lexicographically smallest optimum, as `solve_bip_exhaustive` does.
     The cost is read from `bip.cost` on every call.  `nodes` counts the
-    prefixes visited plus the trajectories scored, and `blocks` holds the
-    optimum's candidate index in each V_t.
+    prefixes visited, pruned ones (a first control q0 does not allow is
+    one) included, plus the grid rows scored under each unpruned prefix,
+    and `blocks` holds the optimum's candidate index in each V_t.
     """
     H, n_v = bip.H, bip.n_v
     tab = bip.blocks
     if tab is None:
         raise ValueError("solve_bip reads the block tables that build_bip gives a Bip; this "
                          "one has only dense rows, which solve_bip_exhaustive reads")
-    if not tab.first.any():
-        return BipSolution(None, None, "infeasible", nodes=1)
     V, lhs, b, k, grid, glhs, min_lhs = (tab.V, tab.lhs, tab.b, tab.k, tab.grid, tab.glhs,
                                         tab.min_lhs)
-    if k:
-        first, gfirst = np.flatnonzero(tab.first), None
-    else:   # the grid covers block 0: it scores only rows of allowed first controls
-        first, gfirst = None, tab.first[grid[:, 0]]
-    n_grid = len(grid) if gfirst is None else int(gfirst.sum())
     lin = [v @ c for v, c in zip(V, bip.cost.reshape(H, n_v))]
     quadratic = tab.qlin is not None
     if quadratic:
@@ -365,7 +357,7 @@ def solve_bip(bip: Bip) -> BipSolution:
     else:
         gval = sum(lin[k + i][grid[:, i]] for i in range(H - k))
         min_lin = [0.0]   # least value of blocks t .. H-1, built from the back
-        for x in reversed(lin if k else []):   # no prefix below the root: unused
+        for x in reversed(lin):
             min_lin.append(min_lin[-1] + x.min())
         min_lin.reverse()
 
@@ -376,13 +368,9 @@ def solve_bip(bip: Bip) -> BipSolution:
     while stack:
         path, head, acc, cond = stack.pop()
         t = len(path)
-        if best is not None:   # no value bound prunes before an incumbent exists
-            bound = sum(c.min() for c in cond) + min_pair[t] if quadratic else min_lin[t]
-            pruned = head + bound >= best_val - OPT_TOL
-        else:
-            pruned = False
-        pruned = pruned or (acc + min_lhs[t] > b).any()
-        nodes += 1 if pruned or t < k else 1 + n_grid
+        bound = sum(c.min() for c in cond) + min_pair[t] if quadratic else min_lin[t]
+        pruned = head + bound >= best_val - OPT_TOL or (acc + min_lhs[t] > b).any()
+        nodes += 1 if pruned or t < k else 1 + len(grid)
         if pruned:
             continue
         if t < k:
@@ -390,16 +378,13 @@ def solve_bip(bip: Bip) -> BipSolution:
             stack.extend(
                 (path + [i], head + cond[0][i], acc + lhs[t][i],
                  [c + pair[t, r][i] for r, c in enumerate(rest, t + 1)] if quadratic else rest)
-                for i in reversed(first if t == 0 else range(len(cond[0]))))
+                for i in reversed(range(len(cond[0]))))
             continue
         if quadratic:
             vals = gpair + head + sum(c[grid[:, i]] for i, c in enumerate(cond))
         else:
             vals = gval + head
-        keep = vals < best_val - OPT_TOL
-        if gfirst is not None:
-            keep &= gfirst
-        rows = np.flatnonzero(keep)
+        rows = np.flatnonzero(vals < best_val - OPT_TOL)
         rows = rows[(glhs[rows] <= b - acc).all(axis=1)]
         row, best_val = _improve(rows, vals[rows], best_val)
         if row is not None:

@@ -31,6 +31,9 @@ OBJECTIVES = ("linear", "quadratic")
 # C v <= c.  At most 2^24 are allowed (quadratic PNC-H6 on example1 searches
 # 16^6), and H is at most 24, the bound for two controls per slot.
 MAX_TRAJECTORY_BITS = 24
+# A policy that lists the controls holds at most 2^16 of them: a compiled MW
+# program keeps about 626 bytes per control, 39 MiB at this bound.
+MAX_CONTROL_BITS = 16
 
 
 def _positive_int(x) -> bool:
@@ -64,19 +67,25 @@ class PolicySpec:
             raise ValidationError("policy.objective", f"{self.kind} takes no objective")
 
     def check_size(self, net: Network) -> None:
-        """Reject a network whose controls this policy cannot list, and a
-        horizon whose program has over 2^24 trajectories on `net`; called
-        before any program is built."""
-        if self.kind != "IDLE" and net.n_v > MAX_BINARY_BITS:
+        """Reject a network of over 24 links or 2^16 controls, which IDLE
+        alone does not list, and a horizon whose program has over 2^24
+        trajectories on `net`; called before any program is built."""
+        if self.kind == "IDLE":
+            return
+        if net.n_v > MAX_BINARY_BITS:
             raise ValidationError("network.R", f"{self.kind} lists the binary controls of at most "
                                                f"{MAX_BINARY_BITS} links, got {net.n_v}")
-        H = self.horizon
-        if H is not None and net.n_v * H > MAX_TRAJECTORY_BITS:   # else 2^(n_v H) fits
-            n = count_controls(net)
-            if n ** H > 1 << MAX_TRAJECTORY_BITS:
-                raise ValidationError("policy.H", f"horizon {H} gives {n}^{H} trajectories over "
-                                                  f"the {n} controls with C v <= c, more than "
-                                                  f"2^{MAX_TRAJECTORY_BITS}")
+        H = self.horizon or 1
+        if net.n_v <= MAX_CONTROL_BITS and net.n_v * H <= MAX_TRAJECTORY_BITS:
+            return   # 2^n_v controls and 2^(n_v H) trajectories fit
+        n = count_controls(net)
+        if n > 1 << MAX_CONTROL_BITS:
+            raise ValidationError("network.R", f"{self.kind} lists the {n} controls with "
+                                               f"C v <= c, more than 2^{MAX_CONTROL_BITS}")
+        if n ** H > 1 << MAX_TRAJECTORY_BITS:
+            raise ValidationError("policy.H", f"horizon {H} gives {n}^{H} trajectories over "
+                                              f"the {n} controls with C v <= c, more than "
+                                              f"2^{MAX_TRAJECTORY_BITS}")
 
     @property
     def name(self) -> str:

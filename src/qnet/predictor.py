@@ -21,8 +21,9 @@ followed by its drain.
 
 A policy compiles the program of each (chain state s, H, objective) once
 (`compile_program`), and each decision at q0 (`build_bip`) adds only what
-depends on q0: the first controls it allows, the coupling bounds and the
-cost.  The compiled coupling rows and the dense rows (`build_constraints`,
+depends on q0: the coupling bounds and the cost.  The first slot's own
+constraint, q0 >= each control's queue need, is one more coupling row per
+queue.  The compiled coupling rows and the dense rows (`build_constraints`,
 built when first read, which only the enumeration oracle does) take their
 positiveness rows from one builder, `_positiveness`.
 
@@ -109,12 +110,13 @@ class TrajectoryProgram:
     """The part of the horizon-H program at chain state s that no decision
     state changes.
 
-    `tables` lays every block over all of V, the controls with C v <= c,
-    and allows all of them in block 0; `need` holds each control's
-    `queue_need`.  `controls` pairs each row of V, read-only, with its need
-    as a list: a solved trajectory is the controls at the candidate indices
-    `solve_bip` returns.  The rows coupling blocks are the `_positiveness`
-    rows of steps t >= 1, bounded by q0 + `offsets` (one row per step).
+    `tables` lays every block over all of V, the controls with C v <= c;
+    `need` holds each control's `queue_need`.  `controls` pairs each row of
+    V, read-only, with its need as a list: a solved trajectory is the
+    controls at the candidate indices `solve_bip` returns.  The rows
+    coupling blocks are the `_positiveness` rows of every step, bounded by
+    q0 + `offsets` (one row per step, zero at step 0).  Step 0's rows read
+    `need` in block 0, source requirements included, and 0 in later blocks.
     The cost reads `weights`, sigma_t W per step, and `arrived`, the mean
     arrivals summed up to each step.
     """
@@ -145,9 +147,10 @@ def compile_program(net: Network, chain: MarkovChain, arrivals: ArrivalProcess,
     V.setflags(write=False)
     need = queue_need(net, V)
     # lhs[t] = V @ (block t's part of the coupling rows).T
-    lhs = list(V @ rows[1:].reshape(-1, H, net.n_v).transpose(1, 2, 0))
+    lhs = list(V @ rows.reshape(-1, H, net.n_v).transpose(1, 2, 0))
+    lhs[0][:, :net.n_q] = need   # step 0 gates the sources too
     return TrajectoryProgram(int(s), H, objective, block_tables([V] * H, lhs, Q), need,
-                             list(zip(V, need.tolist())), np.array(offsets, dtype=np.int64)[1:],
+                             list(zip(V, need.tolist())), np.array(offsets, dtype=np.int64),
                              [sigma @ net.W for sigma in sigmas],
                              np.array(means).cumsum(axis=0), Q)
 
@@ -160,9 +163,9 @@ def build_bip(net: Network, chain: MarkovChain, arrivals: ArrivalProcess,
     `objective` is "linear" (the surrogate `cost`) or "quadratic" (the exact
     expected sum of squares, const + cost.u + u'Qu).  `program` is the
     compiled program for (s, H, objective); without it one is compiled here.
-    The decision adds the first controls q0 allows (q0 >= need), the
-    coupling bounds and the cost.  The dense rows A, b come from
-    `build_constraints` when first read.
+    The decision adds the coupling bounds, q0 + offsets, and the cost; the
+    bounds of step 0, q0 itself, gate the first control.  The dense rows
+    A, b come from `build_constraints` when first read.
     """
     if program is None:
         program = compile_program(net, chain, arrivals, s, H, objective)
@@ -171,8 +174,7 @@ def build_bip(net: Network, chain: MarkovChain, arrivals: ArrivalProcess,
                          f"{(program.s, program.H, program.objective)}, "
                          f"not {(s, H, objective)}")
     q0 = np.asarray(q0)
-    blocks = replace(program.tables, first=(q0 >= program.need).all(axis=1),
-                     b=(program.offsets + q0).ravel())
+    blocks = replace(program.tables, b=(program.offsets + q0).ravel())
     return Bip(n_v=net.n_v, H=H, cost=_expected_cost(net, q0, program.weights, program.arrived),
                Q=program.Q, blocks=blocks,
                rows=lambda: build_constraints(net, q0, arrivals.rate, H))

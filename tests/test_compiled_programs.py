@@ -12,8 +12,8 @@ import pytest
 import qnet.policies as policies
 import qnet.predictor as predictor
 from qnet import optim
-from qnet.dynamics import make_streams, run
-from qnet.model import validate_network
+from qnet.dynamics import make_streams, queue_need, run
+from qnet.model import enumerate_control_set, validate_network
 from qnet.optim import Bip, solve_bip, solve_bip_exhaustive
 from qnet.policies import PncPolicy, PolicySpec, make_policy
 from qnet.predictor import build_bip, build_constraints, compile_program
@@ -40,7 +40,7 @@ def _with_extra_sources(rng, net):
 @pytest.mark.parametrize("chunk", [None, 1])
 def test_compiled_decisions_match_dense_rows_and_oracle(rng, monkeypatch, chunk, objective):
     # chunk 1 puts every block but the last in the depth-first prefix, so the
-    # first-block mask is applied there; otherwise the grid covers block 0.
+    # first-slot rows prune prefixes there; otherwise the grid covers block 0.
     # Backlogs of 0-2 starve sources; S_req extras gate links no row sees.
     if chunk is not None:
         monkeypatch.setattr(optim, "SCAN_CHUNK", chunk)
@@ -72,6 +72,20 @@ def test_compiled_decisions_match_dense_rows_and_oracle(rng, monkeypatch, chunk,
             prefixed += program.tables.k > 0
     assert gated > 50
     assert (prefixed > 50) == (chunk == 1)
+
+
+@pytest.mark.parametrize("H", [1, 2, 3])
+def test_first_slot_gate_is_a_coupling_row(H):
+    # step 0's rows bound block 0 by q0 alone: each control's queue need,
+    # source requirements included, and 0 in every later block
+    for sc, states in ((scenario_example1(), (0, 3)), (scenario_example2("green"), (0,))):
+        need, n_q = queue_need(sc.net, enumerate_control_set(sc.net)), sc.net.n_q
+        for s in states:
+            program = compile_program(sc.net, sc.chain, sc.arrivals, s, H)
+            lhs = program.tables.lhs
+            assert np.array_equal(lhs[0][:, :n_q], need), s
+            assert all(not lhs[t][:, :n_q].any() for t in range(1, H)), s
+            assert program.offsets[0].tolist() == [0] * n_q, s
 
 
 @pytest.mark.parametrize("spec", [PolicySpec("MW"), PolicySpec("FPNC", 3)],

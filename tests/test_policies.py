@@ -307,6 +307,16 @@ def test_horizon_limit_counts_trajectories():
             assert info.value.path == "policy.H"
     PolicySpec("MW").check_size(ex1)
     assert PolicySpec("PNC", 24).horizon == 24
+    # 17 links and no C rows give 2^17 controls, over the 2^16 a policy lists
+    free = validate_network({"R": [[-1] * 17, [0] * 17], "W": [[1.0] * 17]})
+    for spec in (PolicySpec("MW"), PolicySpec("RANDOM"), PolicySpec("PNC", 1)):
+        with pytest.raises(ValidationError, match="131072 controls") as info:
+            make_policy(spec, free, None, None, policy_rng=np.random.default_rng(0))
+        assert info.value.path == "network.R"
+    PolicySpec("IDLE").check_size(free)
+    # one C row over 18 links leaves 19 controls
+    PolicySpec("MW").check_size(validate_network({"R": [[-1] * 18, [0] * 18], "C": [[1] * 18],
+                                                  "c": [1], "W": [[1.0] * 18]}))
 
 
 def test_quadratic_objective_plans_handover():
