@@ -11,7 +11,7 @@ import numpy as np
 from .dynamics import Trace, make_streams, run, trace_to_csv
 from .errors import PolicyContractError, ValidationError
 from .optim import MAX_BINARY_BITS
-from .policies import PolicySpec, make_policy
+from .policies import MAX_CONTROL_BITS, PolicySpec, count_listed_controls, make_policy
 from .scenarios import Scenario
 from .stability import (MIN_ASSESS_SLOTS, RegionQuery, assess_stability,
                         mw_accessible_options, region_rows_to_csv, region_slice)
@@ -106,6 +106,8 @@ def region_rows(scenario: Scenario, option_set: str = "full",
     if net.n_v > MAX_BINARY_BITS:
         raise ValidationError("network.R", "region sweeps list the binary controls of at most "
                                            f"{MAX_BINARY_BITS} links, got {net.n_v}")
+    if net.n_v > MAX_CONTROL_BITS:
+        count_listed_controls(net, "a region sweep")
     if net.n_s != 1:
         raise ValidationError("chain.P", "region sweeps need stationary weights, which are "
                                          f"not derived yet for {net.n_s} chain states")

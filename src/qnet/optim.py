@@ -193,15 +193,16 @@ class Bip:
     cost is floating point with a 1e-9 optimality tolerance.  Q is None for
     a linear objective.
 
-    `solve_bip` reads only `blocks`, the tables `predictor.build_bip` takes
-    from a compiled program; the dense rows are for `solve_bip_exhaustive`.
-    `build_bip` gives them as `rows`, a function returning (A, b) that runs
-    when A or b is first read.
+    `solve_bip` reads only `blocks`, a compiled program's tables, and
+    `bounds`, its int64 coupling bounds; the dense rows are for
+    `solve_bip_exhaustive`.  `build_bip` gives them as `rows`, a function
+    returning (A, b) that runs when A or b is first read.
     """
 
     def __init__(self, n_v: int, H: int, cost: np.ndarray, A=None, b=None, Q=None, *,
-                 blocks: BlockTables | None = None, rows=None):
-        self.n_v, self.H, self.cost, self.Q, self.blocks = n_v, H, cost, Q, blocks
+                 blocks: BlockTables | None = None, bounds: np.ndarray | None = None, rows=None):
+        self.n_v, self.H, self.cost, self.Q = n_v, H, cost, Q
+        self.blocks, self.bounds = blocks, bounds
         self._rows = rows if rows is not None else lambda: (A, b)
 
     @cached_property
@@ -256,11 +257,11 @@ class BlockTables:
     block search reads them.
 
     V[t] holds block t's candidate controls in lexicographic order.  lhs[t]
-    is each candidate's part of the rows coupling blocks, whose bounds are
-    b: a trajectory is feasible iff sum_t lhs[t] <= b.  A row may read one
-    block only, as the rows gating block 0 do.  Blocks k .. H-1 form one
-    lexicographic grid of candidate indices, with summed lhs `glhs`, and
-    min_lhs[t] is the least lhs of blocks t .. H-1.  With a quadratic term,
+    is each candidate's part of the rows coupling blocks: a trajectory is
+    feasible iff sum_t lhs[t] <= b, the bounds `Bip.bounds` passes.  A row
+    may read one block only, as the rows gating block 0 do.  Blocks k .. H-1
+    form one lexicographic grid of candidate indices, with summed lhs `glhs`,
+    and min_lhs[t] is the least lhs of blocks t .. H-1.  With a quadratic term,
     qlin[t] is each candidate's u'Qu inside block t, pair[t, r] the cross
     terms of blocks t < r, gpair their sum over the grid's blocks, and
     min_pair[t] the least pair entries summed over blocks t .. H-1.
@@ -268,7 +269,6 @@ class BlockTables:
 
     V: list
     lhs: list
-    b: np.ndarray | None
     k: int
     grid: np.ndarray
     glhs: np.ndarray
@@ -284,8 +284,8 @@ def block_tables(V: list, lhs: list, Q=None) -> BlockTables:
 
     The grid takes the most trailing blocks whose candidates multiply to at
     most SCAN_CHUNK rows, and at least the last block; SCAN_CHUNK is read
-    here, when the tables are built.  The coupling bounds b are left for
-    each decision to set.
+    here, when the tables are built.  They hold no bound: each decision
+    passes its own, as `Bip.bounds`.
     """
     H, n_v = len(V), V[0].shape[1]
     sizes = [len(v) for v in V]
@@ -299,7 +299,7 @@ def block_tables(V: list, lhs: list, Q=None) -> BlockTables:
         min_lhs.append(min_lhs[-1] + x.min(axis=0))
     min_lhs.reverse()
     if Q is None:
-        return BlockTables(V, lhs, None, k, grid, glhs, min_lhs)
+        return BlockTables(V, lhs, k, grid, glhs, min_lhs)
     bt = [slice(t * n_v, (t + 1) * n_v) for t in range(H)]
     qlin = [np.einsum("ai,ij,aj->a", v, Q[s, s], v) for v, s in zip(V, bt)]
     pair = {(t, r): V[t] @ (Q[bt[t], bt[r]] + Q[bt[r], bt[t]].T) @ V[r].T
@@ -307,7 +307,7 @@ def block_tables(V: list, lhs: list, Q=None) -> BlockTables:
     gpair = sum(pair[k + i, k + j][grid[:, i], grid[:, j]]
                 for i, j in combinations(range(H - k), 2))
     min_pair = [sum(pair[p].min() for p in combinations(range(t, H), 2)) for t in range(H)]
-    return BlockTables(V, lhs, None, k, grid, glhs, min_lhs, qlin, pair, gpair, min_pair)
+    return BlockTables(V, lhs, k, grid, glhs, min_lhs, qlin, pair, gpair, min_pair)
 
 
 def _improve(rows: np.ndarray, vals: np.ndarray, best_val: float):
@@ -325,8 +325,8 @@ def _improve(rows: np.ndarray, vals: np.ndarray, best_val: float):
 def solve_bip(bip: Bip) -> BipSolution:
     """Branch and bound over whole slot controls, in lexicographic order.
 
-    The search reads only `bip.blocks`, the tables `predictor.build_bip`
-    takes from a compiled program; a `Bip` without them raises `ValueError`.
+    The search reads only `bip.blocks`, a compiled program's tables, and
+    `bip.bounds`; a `Bip` without tables raises `ValueError`.
     Trajectories in V_0 x ... x V_{H-1} are visited in lexicographic order,
     leading blocks depth first and the trailing ones as one grid.  The
     objective is a sum of per-block tables over V_t (cost and Q's diagonal
@@ -347,7 +347,7 @@ def solve_bip(bip: Bip) -> BipSolution:
     if tab is None:
         raise ValueError("solve_bip reads the block tables that build_bip gives a Bip; this "
                          "one has only dense rows, which solve_bip_exhaustive reads")
-    V, lhs, b, k, grid, glhs, min_lhs = (tab.V, tab.lhs, tab.b, tab.k, tab.grid, tab.glhs,
+    V, lhs, b, k, grid, glhs, min_lhs = (tab.V, tab.lhs, bip.bounds, tab.k, tab.grid, tab.glhs,
                                         tab.min_lhs)
     lin = [v @ c for v, c in zip(V, bip.cost.reshape(H, n_v))]
     quadratic = tab.qlin is not None

@@ -31,9 +31,18 @@ OBJECTIVES = ("linear", "quadratic")
 # C v <= c.  At most 2^24 are allowed (quadratic PNC-H6 on example1 searches
 # 16^6), and H is at most 24, the bound for two controls per slot.
 MAX_TRAJECTORY_BITS = 24
-# A policy that lists the controls holds at most 2^16 of them: a compiled MW
+# A policy or a region sweep lists at most 2^16 controls: a compiled MW
 # program keeps about 626 bytes per control, 39 MiB at this bound.
 MAX_CONTROL_BITS = 16
+
+
+def count_listed_controls(net: Network, who: str) -> int:
+    """|V|, the controls with C v <= c that `who` lists, at most 2^MAX_CONTROL_BITS."""
+    n = count_controls(net)
+    if n > 1 << MAX_CONTROL_BITS:
+        raise ValidationError("network.R", f"{who} lists the {n} controls with "
+                                           f"C v <= c, more than 2^{MAX_CONTROL_BITS}")
+    return n
 
 
 def _positive_int(x) -> bool:
@@ -78,10 +87,7 @@ class PolicySpec:
         H = self.horizon or 1
         if net.n_v <= MAX_CONTROL_BITS and net.n_v * H <= MAX_TRAJECTORY_BITS:
             return   # 2^n_v controls and 2^(n_v H) trajectories fit
-        n = count_controls(net)
-        if n > 1 << MAX_CONTROL_BITS:
-            raise ValidationError("network.R", f"{self.kind} lists the {n} controls with "
-                                               f"C v <= c, more than 2^{MAX_CONTROL_BITS}")
+        n = count_listed_controls(net, self.kind)
         if n ** H > 1 << MAX_TRAJECTORY_BITS:
             raise ValidationError("policy.H", f"horizon {H} gives {n}^{H} trajectories over "
                                               f"the {n} controls with C v <= c, more than "

@@ -23,9 +23,9 @@ A policy compiles the program of each (chain state s, H, objective) once
 (`compile_program`), and each decision at q0 (`build_bip`) adds only what
 depends on q0: the coupling bounds and the cost.  The first slot's own
 constraint, q0 >= each control's queue need, is one more coupling row per
-queue.  The compiled coupling rows and the dense rows (`build_constraints`,
-built when first read, which only the enumeration oracle does) take their
-positiveness rows from one builder, `_positiveness`.
+queue.  The compiled rows are built from the control table, the dense rows
+(`build_constraints`, built when first read, which only the enumeration
+oracle does) from R; the two builders share only the bounds, `_offsets`.
 
 Only this relaxed prediction (one control vector per future slot) is
 implemented.  Richer schemes that condition future controls on realized
@@ -35,7 +35,7 @@ layout; they are deliberate non-goals here.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -64,41 +64,32 @@ def _expected_cost(net: Network, q0, weights, arrived) -> np.ndarray:
                            for t, w in enumerate(weights)])
 
 
-def _positiveness(net: Network, rate: tuple, H: int) -> tuple[np.ndarray, list]:
-    """The positiveness rows over (step t, queue i, block, link), -R_i on the
-    blocks before t and -R_minus_i at t, and their offsets floor(t rate_i) as
-    Python ints: the bound of row (t, i) is q0_i + offsets[t][i], floored
-    exactly because the row's value on a binary trajectory is an integer."""
+def _offsets(rate: tuple, H: int) -> list:
+    """The offsets floor(t rate_i) as Python ints: the bound of the row of
+    step t and queue i is q0_i + offsets[t][i], floored exactly because the
+    row's value on a binary trajectory is an integer."""
     if H < 1:
         raise ValueError("horizon must be >= 1")
-    feed, drain = -net.R[:, None], -net.R_minus
-    rows = np.zeros((H, net.n_q, H, net.n_v), dtype=np.int64)
-    for t in range(H):
-        rows[t, :, :t] = feed
-        rows[t, :, t] = drain
-    offsets = [[t * r.numerator // r.denominator for r in rate] for t in range(H)]
-    return rows, offsets
+    return [[t * r.numerator // r.denominator for r in rate] for t in range(H)]
 
 
 def build_constraints(net: Network, q0, rate: tuple, H: int):
     """Stacked inequality system (A, b) over {0,1}^{H n_v}.
 
     A is integer and b holds Python ints.  Rows come in three groups, in this
-    order: constituency (n_c per block), positiveness (`_positiveness`, n_q
-    per block), then one source row per link whose required source queues
-    are empty at the decision state, pinning it to zero in the first block.
-    The source rows keep the first control feasible for copy links that the
-    positiveness rows cannot see.
+    order: constituency (n_c per block), positiveness (n_q per block: step
+    t's rows read -R on the blocks before t and -R_minus at t), then one
+    source row per link whose required source queues are empty at the
+    decision state, pinning it to zero in the first block.  The source rows
+    keep the first control feasible for copy links the positiveness rows
+    cannot see.
     """
-    rows, offsets = _positiveness(net, rate, H)
-    n_v, n_c = net.n_v, net.C.shape[0]
-    constituency = np.zeros((H, n_c, H, n_v), dtype=np.int64)
-    for t in range(H):
-        constituency[t, :, t] = net.C
+    offsets = _offsets(rate, H)
+    eye, before = np.eye(H, dtype=np.int64), np.tri(H, k=-1, dtype=np.int64)
     gated = np.flatnonzero((np.asarray(q0) < 1) @ net.S_req > 0)
-    A = np.concatenate([constituency.reshape(H * n_c, H * n_v),
-                        rows.reshape(H * net.n_q, H * n_v),
-                        np.eye(H * n_v, dtype=np.int64)[gated]])
+    A = np.concatenate([np.kron(eye, net.C),
+                        np.kron(before, -net.R) - np.kron(eye, net.R_minus),
+                        np.eye(H * net.n_v, dtype=np.int64)[gated]])
     b = ([int(x) for x in net.c] * H
          + [int(q) + f for step in offsets for q, f in zip(q0, step)]
          + [0] * len(gated))
@@ -113,12 +104,12 @@ class TrajectoryProgram:
     `tables` lays every block over all of V, the controls with C v <= c;
     `need` holds each control's `queue_need`.  `controls` pairs each row of
     V, read-only, with its need as a list: a solved trajectory is the
-    controls at the candidate indices `solve_bip` returns.  The rows
-    coupling blocks are the `_positiveness` rows of every step, bounded by
-    q0 + `offsets` (one row per step, zero at step 0).  Step 0's rows read
-    `need` in block 0, source requirements included, and 0 in later blocks.
-    The cost reads `weights`, sigma_t W per step, and `arrived`, the mean
-    arrivals summed up to each step.
+    controls at the candidate indices `solve_bip` returns.  The n_q rows of
+    step tau couple blocks, bounded by q0 + `offsets` (zero at step 0):
+    block t reads 0 when tau < t, the drain -R_minus v when tau = t and the
+    full-success feed -R v when tau > t, but step 0 reads `need`, source
+    requirements included.  The cost reads `weights`, sigma_t W per step,
+    and `arrived`, the mean arrivals summed up to each step.
     """
 
     s: int
@@ -137,7 +128,7 @@ def compile_program(net: Network, chain: MarkovChain, arrivals: ArrivalProcess,
                     s: int, H: int, objective: str = "linear") -> TrajectoryProgram:
     """Compile the program of every decision at chain state s; `objective` as in
     `build_bip`."""
-    rows, offsets = _positiveness(net, arrivals.rate, H)
+    offsets = _offsets(arrivals.rate, H)
     sigmas = _state_distributions(chain, s, H)
     if objective == "quadratic":
         means, Q = [arrivals.mean(t) for t in range(H)], _second_moments(net, chain, sigmas)
@@ -146,9 +137,9 @@ def compile_program(net: Network, chain: MarkovChain, arrivals: ArrivalProcess,
     V = enumerate_control_set(net)
     V.setflags(write=False)
     need = queue_need(net, V)
-    # lhs[t] = V @ (block t's part of the coupling rows).T
-    lhs = list(V @ rows.reshape(-1, H, net.n_v).transpose(1, 2, 0))
-    lhs[0][:, :net.n_q] = need   # step 0 gates the sources too
+    feed, drain, zero = -(V @ net.R.T), -(V @ net.R_minus.T), np.zeros_like(need)
+    # lhs[t]: block t's part of the rows of steps 0 .. H-1, in step order
+    lhs = [np.hstack([zero] * t + [drain if t else need] + [feed] * (H - 1 - t)) for t in range(H)]
     return TrajectoryProgram(int(s), H, objective, block_tables([V] * H, lhs, Q), need,
                              list(zip(V, need.tolist())), np.array(offsets, dtype=np.int64),
                              [sigma @ net.W for sigma in sigmas],
@@ -163,9 +154,10 @@ def build_bip(net: Network, chain: MarkovChain, arrivals: ArrivalProcess,
     `objective` is "linear" (the surrogate `cost`) or "quadratic" (the exact
     expected sum of squares, const + cost.u + u'Qu).  `program` is the
     compiled program for (s, H, objective); without it one is compiled here.
-    The decision adds the coupling bounds, q0 + offsets, and the cost; the
-    bounds of step 0, q0 itself, gate the first control.  The dense rows
-    A, b come from `build_constraints` when first read.
+    The `Bip` reads the program's tables as they are and adds the
+    decision's coupling bounds, q0 + offsets, and the cost; the bounds of
+    step 0, q0 itself, gate the first control.  The dense rows A, b come
+    from `build_constraints` when first read.
     """
     if program is None:
         program = compile_program(net, chain, arrivals, s, H, objective)
@@ -174,9 +166,8 @@ def build_bip(net: Network, chain: MarkovChain, arrivals: ArrivalProcess,
                          f"{(program.s, program.H, program.objective)}, "
                          f"not {(s, H, objective)}")
     q0 = np.asarray(q0)
-    blocks = replace(program.tables, b=(program.offsets + q0).ravel())
     return Bip(n_v=net.n_v, H=H, cost=_expected_cost(net, q0, program.weights, program.arrived),
-               Q=program.Q, blocks=blocks,
+               Q=program.Q, blocks=program.tables, bounds=(program.offsets + q0).ravel(),
                rows=lambda: build_constraints(net, q0, arrivals.rate, H))
 
 

@@ -9,7 +9,6 @@ branch and bound, from tables `dense_block_tables` builds from those rows.
 
 from __future__ import annotations
 
-from dataclasses import replace
 from fractions import Fraction
 from itertools import product
 
@@ -91,9 +90,10 @@ def quadratic_objective_oracle(net: Network, chain: MarkovChain,
     return rec(0, tuple(int(x) for x in np.asarray(q0)), int(s0))
 
 
-def dense_block_tables(bip: Bip) -> BlockTables | None:
-    """Tables of a program given by its dense rows A u <= b, or None when some
-    block has no control meeting its own rows.
+def dense_block_tables(bip: Bip) -> tuple[BlockTables, np.ndarray] | None:
+    """Tables of a program given by its dense rows A u <= b and the bounds on
+    their coupling rows, or None when some block has no control meeting its
+    own rows.
 
     Block t's candidates are the binary controls, listed SCAN_CHUNK at a
     time, meeting every row of A inside block t (rows with no nonzero go to
@@ -111,13 +111,15 @@ def dense_block_tables(bip: Bip) -> BlockTables | None:
     V = [np.concatenate(v) for v in V]
     if not all(map(len, V)):
         return None
-    return replace(block_tables(V, [v @ A[coupling, bt].T for v, bt in zip(V, blocks)], bip.Q),
-                   b=b[coupling])
+    return (block_tables(V, [v @ A[coupling, bt].T for v, bt in zip(V, blocks)], bip.Q),
+            b[coupling])
 
 
 def solve_dense(bip: Bip) -> BipSolution:
     """`solve_bip` on a `Bip` given only dense rows, through `dense_block_tables`."""
-    tables = dense_block_tables(bip)
-    if tables is None:
+    program = dense_block_tables(bip)
+    if program is None:
         return BipSolution(None, None, "infeasible", nodes=1)
-    return solve_bip(Bip(bip.n_v, bip.H, bip.cost, bip.A, bip.b, bip.Q, blocks=tables))
+    tables, bounds = program
+    return solve_bip(Bip(bip.n_v, bip.H, bip.cost, bip.A, bip.b, bip.Q, blocks=tables,
+                         bounds=bounds))

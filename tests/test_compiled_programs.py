@@ -6,6 +6,9 @@ the objective (`build_bip`'s cost and Q) alone, through the test oracle
 `solve_dense`, which builds search tables from a hand-built `Bip`'s rows.
 """
 
+import copy
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
@@ -86,6 +89,63 @@ def test_first_slot_gate_is_a_coupling_row(H):
             assert np.array_equal(lhs[0][:, :n_q], need), s
             assert all(not lhs[t][:, :n_q].any() for t in range(1, H)), s
             assert program.offsets[0].tolist() == [0] * n_q, s
+
+
+def test_compiled_rows_match_the_dense_rows(rng):
+    # the two row builders share only the offsets: per block, the compiled
+    # rows of steps >= 1 are V times that block of the dense positiveness
+    # rows, and step 0 reads each control's queue need in block 0 alone
+    for k in range(40):
+        n_s = 1 + k % 2
+        net = random_network(rng, n_s=n_s, allow_copy=True)
+        chain, arr = random_chain(rng, n_s), random_arrivals(rng, net.n_q)
+        H, n_q, n_v = 1 + k % 4, net.n_q, net.n_v
+        q0 = rng.integers(0, 3, size=n_q)
+        program = compile_program(net, chain, arr, int(rng.integers(n_s)), H)
+        A, b = build_constraints(net, q0, arr.rate, H)
+        rows = slice(H * net.C.shape[0], H * (net.C.shape[0] + n_q))
+        V = program.tables.V[0]
+        for t, lhs in enumerate(program.tables.lhs):
+            dense = V @ A[rows, t * n_v:(t + 1) * n_v].T
+            assert np.array_equal(lhs[:, n_q:], dense[:, n_q:]), (k, t)
+            assert (lhs[:, :n_q] == (program.need if t == 0 else 0)).all(), (k, t)
+        assert program.offsets.ravel().tolist() == [x - q for x, q in
+                                                    zip(b[rows], np.tile(q0, H))], k
+
+
+def test_builders_reject_an_empty_horizon():
+    sc = scenario_example2("green")
+    with pytest.raises(ValueError, match="horizon must be >= 1"):
+        compile_program(sc.net, sc.chain, sc.arrivals, 0, 0)
+    with pytest.raises(ValueError, match="horizon must be >= 1"):
+        build_constraints(sc.net, [0, 0], sc.arrivals.rate, 0)
+
+
+@pytest.mark.parametrize("objective", ["linear", "quadratic"])
+def test_decisions_share_the_compiled_tables(objective):
+    # a decision adds its bounds beside the tables, which it neither copies
+    # nor changes
+    assert "b" not in {f.name for f in fields(optim.BlockTables)}
+    for sc, q0s in ((scenario_example1(), ([0, 0, 0, 0], [1, 0, 0, 0], [3, 1, 2, 0])),
+                    (scenario_example2("green"), ([0, 0], [1, 0], [5, 2], [0, 7]))):
+        program = compile_program(sc.net, sc.chain, sc.arrivals, 0, 3, objective)
+        tables = program.tables
+        before = {f.name: copy.deepcopy(getattr(tables, f.name)) for f in fields(tables)}
+        for q0 in q0s:
+            bip = build_bip(sc.net, sc.chain, sc.arrivals, q0, 0, 3, objective, program=program)
+            assert bip.blocks is tables, q0
+            assert bip.bounds.tolist() == (program.offsets + q0).ravel().tolist(), q0
+            assert solve_bip(bip).status == "optimal", q0
+        for name, value in before.items():
+            assert _equal(getattr(tables, name), value), name
+
+
+def _equal(x, y) -> bool:
+    if isinstance(x, dict):
+        return x.keys() == y.keys() and all(np.array_equal(x[k], y[k]) for k in x)
+    if isinstance(x, list):
+        return len(x) == len(y) and all(np.array_equal(a, b) for a, b in zip(x, y))
+    return np.array_equal(x, y)
 
 
 @pytest.mark.parametrize("spec", [PolicySpec("MW"), PolicySpec("FPNC", 3)],

@@ -7,10 +7,12 @@ import os
 import numpy as np
 import pytest
 
+import qnet.stability as stability
 from qnet.cli import main
+from qnet.errors import ValidationError
 from qnet.harness import region_rows, run_experiment, run_one, write_region_csv
 from qnet.policies import PolicySpec
-from qnet.scenarios import scenario_example1, scenario_example2
+from qnet.scenarios import load_scenario, scenario_example1, scenario_example2
 from qnet.stability import MIN_ASSESS_SLOTS
 
 
@@ -252,21 +254,32 @@ TWO_QUEUE_TWO_STATE = {"name": "two-state",
                        "chain": {"P": [[0.9, 0.1], [0.1, 0.9]], "s0": 0},
                        "arrivals": {"kind": "constant", "value": [0, 0]},
                        "policies": [{"kind": "IDLE"}], "slots": 10, "seed": 1}
+TWO_QUEUE_FREE = dict(TWO_QUEUE_WIDE, name="free",
+                      network={"R": [[-1] * 17, [0] * 17], "W": [[1.0] * 17]})
 UNMAPPABLE = {"wide": (TWO_QUEUE_WIDE, "network.R"),
-              "two-state": (TWO_QUEUE_TWO_STATE, "chain.P")}
+              "two-state": (TWO_QUEUE_TWO_STATE, "chain.P"),
+              "free": (TWO_QUEUE_FREE, "network.R")}
 
 
-@pytest.mark.parametrize("scenario", ["example1", "wide", "two-state"])
-def test_cli_region_rejects_unmappable_networks(tmp_path, capsys, scenario):
+@pytest.mark.parametrize("scenario", ["example1", "wide", "two-state", "free"])
+def test_cli_region_rejects_unmappable_networks(tmp_path, capsys, monkeypatch, scenario):
     # example1 has four queues; the wide network has more links than any
     # control enumeration lists; the two-state chain's region would need
-    # stationary weights
+    # stationary weights; the free network's 17 unconstrained links give
+    # 2^17 controls, over the 2^16 a region sweep lists.  None is listed.
+    def no_listing(net):
+        raise AssertionError("a rejected region sweep listed its controls")
+
+    monkeypatch.setattr(stability, "enumerate_control_set", no_listing)
     field = "network.R"
     if scenario in UNMAPPABLE:
         doc, field = UNMAPPABLE[scenario]
         path = tmp_path / f"{scenario}.json"
         path.write_text(json.dumps(doc))
         assert main(["validate", str(path)]) == 0
+        with pytest.raises(ValidationError) as info:
+            region_rows(load_scenario(str(path)))
+        assert info.value.path == field
         scenario = str(path)
     out = tmp_path / "out"
     assert main(["region", scenario, "--out", str(out)]) == 2
