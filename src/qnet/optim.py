@@ -259,9 +259,11 @@ class BlockTables:
     V[t] holds block t's candidate controls in lexicographic order.  lhs[t]
     is each candidate's part of the rows coupling blocks: a trajectory is
     feasible iff sum_t lhs[t] <= b, the bounds `Bip.bounds` passes.  A row
-    may read one block only, as the rows gating block 0 do.  Blocks k .. H-1
-    form one lexicographic grid of candidate indices, with summed lhs `glhs`,
-    and min_lhs[t] is the least lhs of blocks t .. H-1.  With a quadratic term,
+    may read one block only, as the rows gating block 0 do.  live[t] lists
+    the rows some block t .. H-1 reads: a prefix of blocks 0 .. t-1 settles
+    every other row.  Blocks k .. H-1 form one lexicographic grid of
+    candidate indices, with summed lhs `glhs` on the rows live[k], and
+    min_lhs[t] is the least lhs of blocks t .. H-1.  With a quadratic term,
     qlin[t] is each candidate's u'Qu inside block t, pair[t, r] the cross
     terms of blocks t < r, gpair their sum over the grid's blocks, and
     min_pair[t] the least pair entries summed over blocks t .. H-1.
@@ -269,6 +271,7 @@ class BlockTables:
 
     V: list
     lhs: list
+    live: list
     k: int
     grid: np.ndarray
     glhs: np.ndarray
@@ -293,13 +296,16 @@ def block_tables(V: list, lhs: list, Q=None) -> BlockTables:
     while k > 0 and prod(sizes[k - 1:]) <= SCAN_CHUNK:
         k -= 1
     grid = np.indices(sizes[k:]).reshape(H - k, -1).T
-    glhs = sum(lhs[k + i][grid[:, i]] for i in range(H - k))
     min_lhs = [np.zeros(lhs[0].shape[1], dtype=np.int64)]   # built from the back
+    read = [np.zeros(lhs[0].shape[1], dtype=bool)]
     for x in reversed(lhs):
         min_lhs.append(min_lhs[-1] + x.min(axis=0))
+        read.append(read[-1] | (x != 0).any(axis=0))
     min_lhs.reverse()
+    live = [np.flatnonzero(r) for r in reversed(read[1:])]
+    glhs = sum(lhs[k + i][grid[:, i]] for i in range(H - k))[:, live[k]]
     if Q is None:
-        return BlockTables(V, lhs, k, grid, glhs, min_lhs)
+        return BlockTables(V, lhs, live, k, grid, glhs, min_lhs)
     bt = [slice(t * n_v, (t + 1) * n_v) for t in range(H)]
     qlin = [np.einsum("ai,ij,aj->a", v, Q[s, s], v) for v, s in zip(V, bt)]
     pair = {(t, r): V[t] @ (Q[bt[t], bt[r]] + Q[bt[r], bt[t]].T) @ V[r].T
@@ -307,7 +313,7 @@ def block_tables(V: list, lhs: list, Q=None) -> BlockTables:
     gpair = sum(pair[k + i, k + j][grid[:, i], grid[:, j]]
                 for i, j in combinations(range(H - k), 2))
     min_pair = [sum(pair[p].min() for p in combinations(range(t, H), 2)) for t in range(H)]
-    return BlockTables(V, lhs, k, grid, glhs, min_lhs, qlin, pair, gpair, min_pair)
+    return BlockTables(V, lhs, live, k, grid, glhs, min_lhs, qlin, pair, gpair, min_pair)
 
 
 def _improve(rows: np.ndarray, vals: np.ndarray, best_val: float):
@@ -330,25 +336,38 @@ def solve_bip(bip: Bip) -> BipSolution:
     Trajectories in V_0 x ... x V_{H-1} are visited in lexicographic order,
     leading blocks depth first and the trailing ones as one grid.  The
     objective is a sum of per-block tables over V_t (cost and Q's diagonal
-    blocks) and per-block-pair tables over V_t x V_r (Q's other blocks).  A
+    blocks) and per-block-pair tables over V_t x V_r (Q's other blocks).
+    A prefix's children enter the search only when their lhs plus each
+    coupling row's least remaining part meets b (exactly, on integers).  A
     prefix is pruned when its value plus each remaining block's least
     conditional value (its table plus its pair terms with the prefix) plus
-    each remaining pair's least entry is not 1e-9 below the incumbent, or
-    when its lhs plus each coupling row's least remaining part exceeds b
-    (exactly, on integers).  Replacing only on a gain over 1e-9 returns the
-    lexicographically smallest optimum, as `solve_bip_exhaustive` does.
+    each remaining pair's least entry is not 1e-9 below the incumbent.
+    Replacing only on a gain over 1e-9 returns the lexicographically
+    smallest optimum, as `solve_bip_exhaustive` does.
+
+    Under a linear objective a prefix of depth t is also pruned when an
+    earlier prefix of depth t, with the same lhs on the rows `live[t]` and
+    a value no larger, was expanded.  Both have the same feasible
+    completions, each adding the same terms, and a float sum is monotone in
+    its first term: no completion of the later prefix scores below one of
+    the earlier prefix, and none of those beat the incumbent by more than
+    1e-9.  So the incumbent, its tie-break included, is the one the search
+    without the rule returns.  A quadratic objective keeps no such rule,
+    because its pair terms tie the remaining blocks' values to the prefix.
+
     The cost is read from `bip.cost` on every call.  `nodes` counts the
-    prefixes visited, pruned ones (a first control q0 does not allow is
-    one) included, plus the grid rows scored under each unpruned prefix,
-    and `blocks` holds the optimum's candidate index in each V_t.
+    prefixes visited, pruned or dominated ones included, each child
+    rejected at its parent's expansion (a first control q0 does not allow
+    is one), and the grid rows scored under each prefix that reaches the
+    grid; `blocks` holds the optimum's candidate index in each V_t.
     """
     H, n_v = bip.H, bip.n_v
     tab = bip.blocks
     if tab is None:
         raise ValueError("solve_bip reads the block tables that build_bip gives a Bip; this "
                          "one has only dense rows, which solve_bip_exhaustive reads")
-    V, lhs, b, k, grid, glhs, min_lhs = (tab.V, tab.lhs, bip.bounds, tab.k, tab.grid, tab.glhs,
-                                        tab.min_lhs)
+    V, lhs, live, b, k, grid, glhs, min_lhs = (tab.V, tab.lhs, tab.live, bip.bounds, tab.k,
+                                               tab.grid, tab.glhs, tab.min_lhs)
     lin = [v @ c for v, c in zip(V, bip.cost.reshape(H, n_v))]
     quadratic = tab.qlin is not None
     if quadratic:
@@ -361,31 +380,43 @@ def solve_bip(bip: Bip) -> BipSolution:
             min_lin.append(min_lin[-1] + x.min())
         min_lin.reverse()
 
-    best, best_val, nodes = None, np.inf, 0
+    best, best_val = None, np.inf
     # prefixes to visit: candidate indices, value, lhs, and each remaining
-    # block's values conditional on the prefix
-    stack = [([], 0.0, min_lhs[H], lin)]
+    # block's values conditional on the prefix; a root no trajectory fits is
+    # one node
+    stack = [([], 0.0, min_lhs[H], lin)] if (min_lhs[0] <= b).all() else []
+    nodes = 1 - len(stack)
+    # (depth, lhs on its live rows) -> least value of an expanded prefix; the
+    # root, alone at depth 0, has no entry
+    seen = {}
     while stack:
         path, head, acc, cond = stack.pop()
         t = len(path)
         bound = sum(c.min() for c in cond) + min_pair[t] if quadratic else min_lin[t]
-        pruned = head + bound >= best_val - OPT_TOL or (acc + min_lhs[t] > b).any()
-        nodes += 1 if pruned or t < k else 1 + len(grid)
-        if pruned:
+        nodes += 1
+        if head + bound >= best_val - OPT_TOL:
             continue
+        if t and not quadratic:
+            key = t, acc[live[t]].tobytes()
+            if seen.get(key, np.inf) <= head:
+                continue
+            seen[key] = head
         if t < k:
-            rest = cond[1:]
+            rest, nxt = cond[1:], acc + lhs[t]
+            fits = (nxt + min_lhs[t + 1] <= b).all(axis=1)
+            nodes += len(fits) - int(fits.sum())
             stack.extend(
-                (path + [i], head + cond[0][i], acc + lhs[t][i],
+                (path + [i], head + cond[0][i], nxt[i],
                  [c + pair[t, r][i] for r, c in enumerate(rest, t + 1)] if quadratic else rest)
-                for i in reversed(range(len(cond[0]))))
+                for i in reversed(np.flatnonzero(fits).tolist()))
             continue
+        nodes += len(grid)
         if quadratic:
             vals = gpair + head + sum(c[grid[:, i]] for i, c in enumerate(cond))
         else:
             vals = gval + head
         rows = np.flatnonzero(vals < best_val - OPT_TOL)
-        rows = rows[(glhs[rows] <= b - acc).all(axis=1)]
+        rows = rows[(glhs[rows] <= (b - acc)[live[k]]).all(axis=1)]
         row, best_val = _improve(rows, vals[rows], best_val)
         if row is not None:
             best = path + list(grid[row])

@@ -5,12 +5,15 @@ outcome tree, a reference for the `cost` and `Q` of
 `qnet.predictor.build_bip`, quadratic and linear; small instances only.
 `solve_dense` solves a hand-built `Bip`, given only its dense rows, by the
 branch and bound, from tables `dense_block_tables` builds from those rows.
+`solve_tables_exhaustive` solves a `Bip` from its tables by scoring every
+trajectory, past `solve_bip_exhaustive`'s 20-variable limit.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from itertools import product
+from math import prod
 
 import numpy as np
 
@@ -18,9 +21,11 @@ from qnet import optim
 from qnet.errors import EnumerationLimitError
 from qnet.markov import MarkovChain
 from qnet.model import ArrivalProcess, Network
-from qnet.optim import Bip, BipSolution, BlockTables, binary_chunks, block_tables, solve_bip
+from qnet.optim import (OPT_TOL, Bip, BipSolution, BlockTables, binary_chunks, block_tables,
+                        solve_bip)
 
 ORACLE_MAX_VARS = 16
+TABLES_CHUNK = 1 << 12   # trajectories per chunk of solve_tables_exhaustive
 
 
 def _bernoulli_outcomes(active, probs):
@@ -123,3 +128,41 @@ def solve_dense(bip: Bip) -> BipSolution:
     tables, bounds = program
     return solve_bip(Bip(bip.n_v, bip.H, bip.cost, bip.A, bip.b, bip.Q, blocks=tables,
                          bounds=bounds))
+
+
+def solve_tables_exhaustive(bip: Bip) -> BipSolution:
+    """Score every trajectory of V_0 x ... x V_{H-1} from `bip.blocks` and
+    `bip.bounds`, in lexicographic order, replacing the incumbent only on a
+    gain over 1e-9, as `solve_bip` does.
+
+    Each chunk fixes the leading blocks and lists every index tuple of the
+    trailing blocks j .. H-1, at most TABLES_CHUNK of them (or the last block
+    alone).  A trajectory is feasible when its summed lhs meets the bounds
+    on every coupling row; its value is cost.u, summed block by block, plus
+    u'Qu of its stacked controls u.  `nodes` counts the trajectories scored.
+    """
+    V, lhs, H = bip.blocks.V, bip.blocks.lhs, bip.H
+    lin = [v @ c for v, c in zip(V, bip.cost.reshape(H, bip.n_v))]
+    sizes = [len(v) for v in V]
+    j = H - 1
+    while j > 0 and prod(sizes[j - 1:]) <= TABLES_CHUNK:
+        j -= 1
+    tail = np.indices(sizes[j:]).reshape(H - j, -1).T
+    tail_lhs = sum(lhs[t][tail[:, t - j]] for t in range(j, H))
+    tail_val = sum(lin[t][tail[:, t - j]] for t in range(j, H))
+    tail_u = np.hstack([V[t][tail[:, t - j]] for t in range(j, H)])
+    best, best_val = None, np.inf
+    for lead in product(*map(range, sizes[:j])):
+        vals = tail_val + sum(lin[t][i] for t, i in enumerate(lead))
+        if bip.Q is not None:
+            u = np.hstack([np.tile(V[t][i], (len(tail), 1)) for t, i in enumerate(lead)] + [tail_u])
+            vals = vals + ((u @ bip.Q) * u).sum(axis=1)
+        room = bip.bounds - sum(lhs[t][i] for t, i in enumerate(lead))
+        feasible = (tail_lhs <= room).all(axis=1)
+        for r in np.flatnonzero(feasible & (vals < best_val - OPT_TOL)):
+            if vals[r] < best_val - OPT_TOL:
+                best, best_val = [*lead, *tail[r].tolist()], vals[r]
+    if best is None:
+        return BipSolution(None, None, "infeasible", nodes=prod(sizes))
+    x = np.concatenate([v[i] for v, i in zip(V, best)])
+    return BipSolution(x, bip.value(x), "optimal", prod(sizes), best)

@@ -4,10 +4,13 @@ A policy compiles the program of a chain state once and builds each decision
 from it; these tests solve the same decisions from `build_constraints` and
 the objective (`build_bip`'s cost and Q) alone, through the test oracle
 `solve_dense`, which builds search tables from a hand-built `Bip`'s rows.
+Programs past `solve_bip_exhaustive`'s 20 variables are checked against
+`solve_tables_exhaustive`, which scores every trajectory of the tables.
 """
 
 import copy
 from dataclasses import fields
+from itertools import product
 
 import numpy as np
 import pytest
@@ -23,7 +26,7 @@ from qnet.predictor import build_bip, build_constraints, compile_program
 from qnet.scenarios import scenario_example1, scenario_example2
 
 from conftest import random_arrivals, random_chain, random_network
-from oracles import solve_dense
+from oracles import solve_dense, solve_tables_exhaustive
 
 
 def dense_bip(net, chain, arrivals, q0, s, H, objective):
@@ -199,3 +202,71 @@ def test_build_bip_rejects_a_program_of_another_decision():
     bip = build_bip(sc.net, sc.chain, sc.arrivals, [1, 0, 0, 0], 0, 2, program=program)
     A, b = build_constraints(sc.net, [1, 0, 0, 0], sc.arrivals.rate, 2)
     assert np.array_equal(bip.A, A) and bip.b.tolist() == b
+
+
+def _same_decision(sol, oracle) -> bool:
+    return (sol.status == oracle.status and sol.value == oracle.value
+            and [int(i) for i in sol.blocks or []] == (oracle.blocks or []))
+
+
+@pytest.mark.parametrize("objective", ["linear", "quadratic"])
+def test_every_trajectory_oracle_matches_the_enumeration(objective):
+    # the oracle below, on programs of up to 18 variables, against
+    # solve_bip_exhaustive on the dense rows
+    sc = scenario_example1()
+    for H, s, q0 in product((1, 2, 3), (0, 5), ([0, 0, 0, 0], [2, 1, 0, 1])):
+        oracle = solve_bip_exhaustive(dense_bip(sc.net, sc.chain, sc.arrivals, q0, s, H, objective))
+        mine = solve_tables_exhaustive(build_bip(sc.net, sc.chain, sc.arrivals, q0, s, H, objective))
+        assert mine.status == oracle.status == "optimal", (H, s, q0)
+        assert mine.value == oracle.value and np.array_equal(mine.x, oracle.x), (H, s, q0)
+
+
+@pytest.mark.parametrize("H, q0s", [(4, list(product(range(3), repeat=4))),
+                                    (5, [(0, 0, 0, 0), (2, 0, 1, 0), (2, 2, 2, 2), (4, 1, 0, 3)])])
+def test_example1_decisions_match_every_trajectory(H, q0s):
+    # 24 and 30 variables, past solve_bip_exhaustive: the dominated prefixes
+    # the search skips change no decision, in any chain state
+    sc = scenario_example1()
+    for s in range(sc.chain.n_s):
+        program = compile_program(sc.net, sc.chain, sc.arrivals, s, H)
+        assert program.tables.k > 0
+        for q0 in q0s:
+            bip = build_bip(sc.net, sc.chain, sc.arrivals, q0, s, H, program=program)
+            assert _same_decision(solve_bip(bip), solve_tables_exhaustive(bip)), (s, q0)
+
+
+@pytest.mark.parametrize("point", ["red", "green", "blue"])
+def test_example2_quadratic_decisions_match_every_trajectory(point, monkeypatch):
+    # the quadratic objective keeps no dominance rule; chunk 1 searches every
+    # block but the last depth first
+    sc = scenario_example2(point)
+    for chunk in (optim.SCAN_CHUNK, 1):
+        monkeypatch.setattr(optim, "SCAN_CHUNK", chunk)
+        for H in range(1, 7):
+            program = compile_program(sc.net, sc.chain, sc.arrivals, 0, H, "quadratic")
+            for q0 in product(range(0, 9, 2), repeat=2):
+                bip = build_bip(sc.net, sc.chain, sc.arrivals, q0, 0, H, "quadratic",
+                                program=program)
+                assert _same_decision(solve_bip(bip), solve_tables_exhaustive(bip)), (H, q0)
+
+
+def test_live_rows_are_the_rows_of_later_steps():
+    # block t reads the rows of steps t .. H-1 and no earlier ones
+    sc, H = scenario_example1(), 5
+    n_q = sc.net.n_q
+    for s in (0, 4):
+        tables = compile_program(sc.net, sc.chain, sc.arrivals, s, H).tables
+        assert len(tables.live) == H
+        for t, live in enumerate(tables.live):
+            assert live.tolist() == list(range(t * n_q, H * n_q)), (s, t)
+        assert tables.glhs.shape[1] == (H - tables.k) * n_q
+
+
+def test_dominated_prefixes_are_pruned_on_example1():
+    # PNC-H5's decision at q0 = (2, 2, 2, 2) in state 0: the search without
+    # the dominance rule visits 7,265 nodes
+    sc = scenario_example1()
+    bip = build_bip(sc.net, sc.chain, sc.arrivals, [2, 2, 2, 2], 0, 5)
+    sol = solve_bip(bip)
+    assert sol.nodes < 7265
+    assert _same_decision(sol, solve_tables_exhaustive(bip))

@@ -12,7 +12,7 @@ from qnet.model import enumerate_control_set
 from qnet.predictor import build_bip, build_constraints
 
 from conftest import random_arrivals, random_chain, random_network
-from oracles import solve_dense
+from oracles import dense_block_tables, solve_dense
 
 scipy_opt = pytest.importorskip("scipy.optimize")
 
@@ -236,6 +236,22 @@ def test_block_search_generic_coupled_rows(rng, monkeypatch, chunk):
         if s1.status == "optimal":
             assert s1.value == s2.value and np.array_equal(s1.x, s2.x)
     assert statuses == {"optimal", "infeasible"}
+
+
+def test_live_rows_of_generic_coupled_rows(rng):
+    # every row spans two blocks or more and no row is local, so each block
+    # lists all its controls and reads every row it has a coefficient in
+    for _ in range(100):
+        H, n_v = int(rng.integers(2, 5)), int(rng.integers(1, 4))
+        A = rng.integers(-2, 3, size=(8, H * n_v)).astype(np.int64)
+        A = A[(A.reshape(8, H, n_v) != 0).any(axis=2).sum(axis=1) > 1]
+        bip = Bip(n_v=n_v, H=H, cost=rng.integers(-4, 5, size=H * n_v) / 4.0, A=A,
+                  b=[int(x) for x in rng.integers(-2, 6, size=len(A))])
+        tables, _ = dense_block_tables(bip)
+        for t in range(H):
+            expected = np.flatnonzero(A[:, t * n_v:].any(axis=1))
+            assert tables.live[t].tolist() == expected.tolist(), (A, t)
+        assert np.array_equal(solve_dense(bip).x, solve_bip_exhaustive(bip).x)
 
 
 def test_block_search_coupled_example():
