@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import PolicyContractError
 from .markov import MarkovChain, next_states, sample_next
-from .model import ArrivalProcess, Network, _as_array
+from .model import ArrivalProcess, Network, _as_array, queue_need
 
 STREAM_IDS = {"links": 0, "arrivals": 1, "chain": 2, "policy": 3}
 # Entries of `step`'s memo per run.  An entry takes about 2.4 kB with
@@ -69,13 +69,6 @@ class Feasibility:
 
 
 FEASIBLE = Feasibility(True)
-
-
-def queue_need(net: Network, v) -> np.ndarray:
-    """The least queues at which a 0/1 control v passes positiveness and its
-    source requirements: max(-R_minus v, S_req v > 0).  A matrix of controls,
-    one per row, gives one row of needs per control."""
-    return np.maximum(-(v @ net.R_minus.T), v @ net.S_req.T > 0)
 
 
 def _as_control(v) -> np.ndarray:

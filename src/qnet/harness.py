@@ -10,8 +10,8 @@ import numpy as np
 
 from .dynamics import Trace, make_streams, run, trace_to_csv
 from .errors import PolicyContractError, ValidationError
-from .optim import MAX_BINARY_BITS
-from .policies import MAX_CONTROL_BITS, PolicySpec, count_listed_controls, make_policy
+from .model import count_listed_controls
+from .policies import PolicySpec, make_policy
 from .scenarios import Scenario
 from .stability import (MIN_ASSESS_SLOTS, RegionQuery, assess_stability,
                         mw_accessible_options, region_rows_to_csv, region_slice)
@@ -98,16 +98,19 @@ DEFAULT_RAY_COUNT = 13
 
 def region_rows(scenario: Scenario, option_set: str = "full",
                 n_rays: int = DEFAULT_RAY_COUNT) -> list[dict]:
-    """Boundary polyline of the scenario's stability region in its scaled units."""
+    """Boundary polyline of the scenario's stability region in its scaled units.
+
+    `n_rays` < 1 raises `ValueError` first.  A network other than a one-state,
+    two-queue plane whose controls `count_listed_controls` admits fails with
+    `ValidationError` before any control is listed.
+    """
+    if n_rays < 1:
+        raise ValueError(f"expected a positive ray count, got {n_rays}")
     net = scenario.net
     if net.n_q != 2:
         raise ValidationError("network.R", "region sweeps are defined for two-queue arrival "
                                            f"planes, got {net.n_q} queues")
-    if net.n_v > MAX_BINARY_BITS:
-        raise ValidationError("network.R", "region sweeps list the binary controls of at most "
-                                           f"{MAX_BINARY_BITS} links, got {net.n_v}")
-    if net.n_v > MAX_CONTROL_BITS:
-        count_listed_controls(net, "a region sweep")
+    count_listed_controls(net, "a region sweep")
     if net.n_s != 1:
         raise ValidationError("chain.P", "region sweeps need stationary weights, which are "
                                          f"not derived yet for {net.n_s} chain states")

@@ -3,7 +3,9 @@
 The network evolves as  q' = q + R M v + a  where R holds one link per
 column, M is a diagonal 0/1 success matrix drawn per slot, v is the binary
 control and a the arrival vector.  This module owns the static description,
-which holds no run state, and its validation; `dynamics` evolves it.
+which holds no run state, its validation, and the control set V = {v binary :
+C v <= c} of every policy and region: its listing, its bounds, the count a
+lister may hold and each control's queue need.  `dynamics` evolves the model.
 """
 
 from __future__ import annotations
@@ -15,8 +17,7 @@ from numbers import Real
 
 import numpy as np
 
-from .errors import ValidationError
-from .optim import binary_chunks
+from .errors import EnumerationLimitError, ValidationError
 
 
 @dataclass(frozen=True, eq=False)
@@ -146,6 +147,22 @@ def validate_network(raw: dict) -> Network:
     )
 
 
+MAX_BINARY_BITS = 24   # the longest binary vectors any enumeration lists: 2^24 of them
+# A policy or a region sweep lists at most 2^16 controls: a compiled MW
+# program keeps about 626 bytes per control, 39 MiB at this bound.
+MAX_CONTROL_BITS = 16
+
+
+def binary_chunks(n: int, size: int):
+    """All 2^n binary vectors of length n in lexicographic order (v_0 the most
+    significant bit), as int8 arrays of at most `size` rows."""
+    if n > MAX_BINARY_BITS:
+        raise EnumerationLimitError(f"cannot list 2^{n} binary vectors, limit 2^{MAX_BINARY_BITS}")
+    shifts = np.arange(n - 1, -1, -1)
+    for start in range(0, 1 << n, size):
+        yield (np.arange(start, min(start + size, 1 << n))[:, None] >> shifts & 1).astype(np.int8)
+
+
 def _control_chunks(net: Network):
     """The binary controls v with C v <= c, lexicographically sorted, in chunks."""
     for cand in binary_chunks(net.n_v, 1 << 16):
@@ -156,15 +173,36 @@ def _control_chunks(net: Network):
 def enumerate_control_set(net: Network) -> np.ndarray:
     """All binary controls v with C v <= c, lexicographically sorted.
 
-    Returns an array of shape (num_controls, n_v).
+    Returns a read-only int64 array of shape (num_controls, n_v).
     """
-    chunks = list(_control_chunks(net))
-    return chunks[0] if len(chunks) == 1 else np.concatenate(chunks, axis=0)
+    V = np.concatenate(list(_control_chunks(net)))
+    V.setflags(write=False)
+    return V
 
 
 def count_controls(net: Network) -> int:
     """|V|, the number of binary controls with C v <= c, one chunk in memory at a time."""
     return sum(map(len, _control_chunks(net)))
+
+
+def count_listed_controls(net: Network, who: str) -> int:
+    """|V| for `who`, which lists the controls: a network of over
+    MAX_BINARY_BITS links or 2^MAX_CONTROL_BITS controls fails at `network.R`."""
+    if net.n_v > MAX_BINARY_BITS:
+        raise ValidationError("network.R", f"{who} lists the binary controls of at most "
+                                           f"{MAX_BINARY_BITS} links, got {net.n_v}")
+    n = count_controls(net)
+    if n > 1 << MAX_CONTROL_BITS:
+        raise ValidationError("network.R", f"{who} lists the {n} controls with "
+                                           f"C v <= c, more than 2^{MAX_CONTROL_BITS}")
+    return n
+
+
+def queue_need(net: Network, v) -> np.ndarray:
+    """The least queues at which a 0/1 control v passes positiveness and its
+    source requirements: max(-R_minus v, S_req v > 0).  A matrix of controls,
+    one per row, gives one row of needs per control."""
+    return np.maximum(-(v @ net.R_minus.T), v @ net.S_req.T > 0)
 
 
 # ---------------------------------------------------------------------------

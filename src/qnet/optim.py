@@ -5,7 +5,8 @@ region-membership and region-threshold programs), with Bland's rule for
 anti-cycling.  Binary trajectory programs, with a linear or a quadratic
 objective, are solved by branch and bound over per-slot control sets, read
 from the tables of a compiled program (`BlockTables`); the enumeration
-oracle reads a program's dense rows instead.
+oracle reads a program's dense rows instead, over the binary vectors that
+`model.binary_chunks` lists.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ from math import prod
 import numpy as np
 
 from .errors import EnumerationLimitError, SolverStallError
+from .model import binary_chunks
 
 OPT_TOL = 1e-9
 MAX_PIVOTS = 20000   # per simplex phase
@@ -237,18 +239,7 @@ class BipSolution:
     blocks: list | None = None   # solve_bip: each block's index into its candidates V[t]
 
 
-MAX_BINARY_BITS = 24   # the longest binary vectors any enumeration lists: 2^24 of them
 SCAN_CHUNK = 1 << 10   # rows per array; a 2^12-row grid ran no faster and held 5x the memory
-
-
-def binary_chunks(n: int, size: int):
-    """All 2^n binary vectors of length n in lexicographic order (v_0 the most
-    significant bit), as int8 arrays of at most `size` rows."""
-    if n > MAX_BINARY_BITS:
-        raise EnumerationLimitError(f"cannot list 2^{n} binary vectors, limit 2^{MAX_BINARY_BITS}")
-    shifts = np.arange(n - 1, -1, -1)
-    for start in range(0, 1 << n, size):
-        yield (np.arange(start, min(start + size, 1 << n))[:, None] >> shifts & 1).astype(np.int8)
 
 
 @dataclass(frozen=True, eq=False)

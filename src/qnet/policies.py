@@ -15,11 +15,12 @@ from numbers import Integral
 
 import numpy as np
 
-from .dynamics import check_feasible, queue_need
+from .dynamics import check_feasible
 from .errors import ValidationError
-from .model import Network, count_controls, enumerate_control_set
+from .model import (MAX_BINARY_BITS, MAX_CONTROL_BITS, Network, count_listed_controls,
+                    enumerate_control_set, queue_need)
 # the enumeration oracle is never called here; tracers patch and count it in this module
-from .optim import MAX_BINARY_BITS, solve_bip, solve_bip_exhaustive  # noqa: F401
+from .optim import solve_bip, solve_bip_exhaustive  # noqa: F401
 from .predictor import build_bip, compile_program
 
 POLICY_KINDS = ("MW", "PNC", "FPNC", "IDLE", "RANDOM")
@@ -27,22 +28,9 @@ PREDICTIVE_KINDS = ("PNC", "FPNC")
 # linear: the surrogate; quadratic: the exact expected sum of squares.
 # Both are solved by the same branch and bound.
 OBJECTIVES = ("linear", "quadratic")
-# A horizon-H program searches |V|^H trajectories, V being the controls with
-# C v <= c.  At most 2^24 are allowed (quadratic PNC-H6 on example1 searches
-# 16^6), and H is at most 24, the bound for two controls per slot.
-MAX_TRAJECTORY_BITS = 24
-# A policy or a region sweep lists at most 2^16 controls: a compiled MW
-# program keeps about 626 bytes per control, 39 MiB at this bound.
-MAX_CONTROL_BITS = 16
-
-
-def count_listed_controls(net: Network, who: str) -> int:
-    """|V|, the controls with C v <= c that `who` lists, at most 2^MAX_CONTROL_BITS."""
-    n = count_controls(net)
-    if n > 1 << MAX_CONTROL_BITS:
-        raise ValidationError("network.R", f"{who} lists the {n} controls with "
-                                           f"C v <= c, more than 2^{MAX_CONTROL_BITS}")
-    return n
+# Entries of a PNC/FPNC trajectory memo, one per (q, s), about 240 B each; past
+# the limit a new state is solved each time it is met, which changes no decision.
+MAX_MEMO = 1 << 16
 
 
 def _positive_int(x) -> bool:
@@ -62,10 +50,10 @@ class PolicySpec:
             if not _positive_int(self.horizon):
                 raise ValidationError("policy.H", "predictive policies need an integer "
                                                   f"horizon >= 1, got {self.horizon!r}")
-            if self.horizon > MAX_TRAJECTORY_BITS:
+            if self.horizon > MAX_BINARY_BITS:
                 raise ValidationError("policy.H", f"horizon {self.horizon} exceeds "
-                                                  f"{MAX_TRAJECTORY_BITS}: two controls per slot "
-                                                  f"would give over 2^{MAX_TRAJECTORY_BITS} "
+                                                  f"{MAX_BINARY_BITS}: two controls per slot "
+                                                  f"would give over 2^{MAX_BINARY_BITS} "
                                                   "trajectories")
         elif self.horizon is not None:
             raise ValidationError("policy.H", f"{self.kind} takes no horizon")
@@ -77,21 +65,19 @@ class PolicySpec:
 
     def check_size(self, net: Network) -> None:
         """Reject a network of over 24 links or 2^16 controls, which IDLE
-        alone does not list, and a horizon whose program has over 2^24
-        trajectories on `net`; called before any program is built."""
+        alone does not list, and a horizon whose program searches over 2^24
+        trajectories, |V|^H (PNC-H6 on example1 searches 16^6); called before
+        any program is built.  V is counted only if 2^n_v or 2^(n_v H) exceeds a bound."""
         if self.kind == "IDLE":
             return
-        if net.n_v > MAX_BINARY_BITS:
-            raise ValidationError("network.R", f"{self.kind} lists the binary controls of at most "
-                                               f"{MAX_BINARY_BITS} links, got {net.n_v}")
         H = self.horizon or 1
-        if net.n_v <= MAX_CONTROL_BITS and net.n_v * H <= MAX_TRAJECTORY_BITS:
+        if net.n_v <= MAX_CONTROL_BITS and net.n_v * H <= MAX_BINARY_BITS:
             return   # 2^n_v controls and 2^(n_v H) trajectories fit
         n = count_listed_controls(net, self.kind)
-        if n ** H > 1 << MAX_TRAJECTORY_BITS:
+        if n ** H > 1 << MAX_BINARY_BITS:
             raise ValidationError("policy.H", f"horizon {H} gives {n}^{H} trajectories over "
                                               f"the {n} controls with C v <= c, more than "
-                                              f"2^{MAX_TRAJECTORY_BITS}")
+                                              f"2^{MAX_BINARY_BITS}")
 
     @property
     def name(self) -> str:
@@ -152,7 +138,9 @@ class PncPolicy:
                                       self.objective, program=program))
             if sol.status != "optimal":
                 raise RuntimeError(f"trajectory program unexpectedly {sol.status}")
-            traj = self._memo[key] = tuple(program.controls[i] for i in sol.blocks)
+            traj = tuple(program.controls[i] for i in sol.blocks)
+            if len(self._memo) < MAX_MEMO:
+                self._memo[key] = traj
         return traj
 
     def decide(self, q, s) -> np.ndarray:
@@ -232,7 +220,7 @@ class RandomPolicy:
     def __init__(self, net, rng):
         self.net = net
         self.rng = rng
-        self._controls = enumerate_control_set(net).astype(np.int64)
+        self._controls = enumerate_control_set(net)
         self._need = queue_need(net, self._controls)
 
     def decide(self, q, s) -> np.ndarray:

@@ -39,9 +39,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import queue_need
 from .markov import MarkovChain, propagate
-from .model import ArrivalProcess, Network, enumerate_control_set
+from .model import ArrivalProcess, Network, enumerate_control_set, queue_need
 from .optim import Bip, BlockTables, block_tables
 
 
@@ -135,7 +134,6 @@ def compile_program(net: Network, chain: MarkovChain, arrivals: ArrivalProcess,
     else:
         means, Q = [arrivals.rate_float()] * H, None
     V = enumerate_control_set(net)
-    V.setflags(write=False)
     need = queue_need(net, V)
     feed, drain, zero = -(V @ net.R.T), -(V @ net.R_minus.T), np.zeros_like(need)
     # lhs[t]: block t's part of the rows of steps 0 .. H-1, in step order

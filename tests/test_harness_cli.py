@@ -121,6 +121,16 @@ def test_region_rows_mw_axis(tmp_path):
     assert len(lines) == 3
 
 
+@pytest.mark.parametrize("rays", [0, -3])
+def test_region_rows_rejects_nonpositive_rays(tmp_path, rays):
+    sc = scenario_example2("red")
+    with pytest.raises(ValueError, match="positive ray count"):
+        region_rows(sc, "full", rays)
+    with pytest.raises(ValueError, match="positive ray count"):
+        write_region_csv(sc, "mw", str(tmp_path / "out"), n_rays=rays)
+    assert not list(tmp_path.iterdir())
+
+
 # ---------------------------------------------------------------------------
 # CLI
 

@@ -79,6 +79,7 @@ def test_enumerate_relay_all_four():
     net = validate_network(RELAY)
     V = enumerate_control_set(net)
     assert V.tolist() == [[0, 0], [0, 1], [1, 0], [1, 1]]
+    assert V.dtype == np.int64 and not V.flags.writeable
 
 
 def test_enumerate_forbidden_links():

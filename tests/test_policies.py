@@ -118,6 +118,31 @@ def test_memo_miss_builds_and_solves_once(monkeypatch, cls, objective):
     assert calls["build_bip"] == len(seen) > 0
 
 
+def test_capped_memo_changes_no_decision(monkeypatch):
+    # past MAX_MEMO entries a miss is solved and nothing is stored: the
+    # same traces from more programs built
+    import qnet.policies as policies
+    calls = [0]
+    original = policies.build_bip
+
+    def counted(*args, **kwargs):
+        calls[0] += 1
+        return original(*args, **kwargs)
+    monkeypatch.setattr(policies, "build_bip", counted)
+    sc, uncapped = scenario_example2("green"), policies.MAX_MEMO
+    for spec in (PolicySpec("MW"), PolicySpec("FPNC", 3)):
+        runs = []
+        for cap in (uncapped, 8):
+            monkeypatch.setattr(policies, "MAX_MEMO", cap)
+            policy = make_policy(spec, sc.net, sc.chain, sc.arrivals)
+            before = calls[0]
+            trace = run(sc.net, sc.chain, sc.arrivals, policy, 3000, make_streams(2))
+            runs.append((trace, len(policy._memo), calls[0] - before))
+        (full, n_full, built_full), (capped, n_capped, built_capped) = runs
+        assert np.array_equal(full.V, capped.V) and np.array_equal(full.Q, capped.Q)
+        assert n_full > 8 >= n_capped and built_capped > built_full
+
+
 def test_fpnc_h1_equals_pnc_h1():
     sc = scenario_example2("red")
     res = []
@@ -317,6 +342,15 @@ def test_horizon_limit_counts_trajectories():
     # one C row over 18 links leaves 19 controls
     PolicySpec("MW").check_size(validate_network({"R": [[-1] * 18, [0] * 18], "C": [[1] * 18],
                                                   "c": [1], "W": [[1.0] * 18]}))
+    # a C row over 25 links leaves 26 controls, but no policy lists 2^25 vectors
+    wide = validate_network({"R": [[-1] * 25, [0] * 25], "C": [[1] * 25], "c": [1],
+                             "W": [[1.0] * 25]})
+    for spec in (PolicySpec("MW"), PolicySpec("PNC", 1), PolicySpec("FPNC", 1),
+                 PolicySpec("RANDOM")):
+        with pytest.raises(ValidationError, match="at most 24 links, got 25") as info:
+            make_policy(spec, wide, None, None, policy_rng=np.random.default_rng(0))
+        assert info.value.path == "network.R"
+    PolicySpec("IDLE").check_size(wide)
 
 
 def test_quadratic_objective_plans_handover():
